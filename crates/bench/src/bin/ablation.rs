@@ -39,6 +39,7 @@ fn main() {
         }
         other => panic!("unknown study `{other}`"),
     }
+    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
     obs_out.finish().expect("write observability outputs");
 }
 
@@ -58,7 +59,6 @@ fn run_study<S: Scenario>(
         report.wall,
         report.workers
     );
-    eprintln!("stage walls: {}", report.stages.summary());
     report.rows
 }
 

@@ -68,6 +68,6 @@ fn main() {
         report.workers,
         report.mc_threads
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
     obs_out.finish().expect("write observability outputs");
 }

@@ -54,7 +54,7 @@ fn main() {
         report.workers,
         report.mc_threads,
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
     // Per-model-block CPU attribution (sums of per-cell run_cell wall
     // clocks; diagnostic only, never part of the CSV). This is the
     // number BENCH_hotpath.json tracks for the non-exponential blocks.

@@ -45,7 +45,7 @@ fn main() {
         let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
         eprintln!(
             "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads; \
-             workflow cache {}/{} hits, schedule cache {}/{} hits)",
+             workflow store {}/{} hits, schedule store {}/{} hits)",
             sink.rows_written(),
             path.display(),
             report.wall,
@@ -56,11 +56,11 @@ fn main() {
             report.cache.schedule_hits,
             report.cache.schedule_hits + report.cache.schedule_misses,
         );
-        eprintln!("stage walls: {}", report.stages.summary());
         // Shape summary on stdout: per (size, procs, pfail), the CCR
         // endpoints.
         println!("# {fig} ({class}) shape summary");
         figure_shape_summary(&report.rows).print();
     }
+    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
     obs_out.finish().expect("write observability outputs");
 }

@@ -6,8 +6,9 @@
 //! superchain count, checkpoint count, an FNV-1a hash of the
 //! checkpoint-after bits, and the analytic expected makespan (exact
 //! bits). CI diffs it across `--plan-threads` budgets to pin the
-//! parallel-placement determinism guarantee; the stage walls quantify
-//! where generate/schedule/plan/evaluate time goes at scale.
+//! parallel-placement determinism guarantee; the stage walls (the
+//! `ckpt_stage_wall_seconds` histogram) quantify where generate,
+//! schedule, placement, coalescing and evaluation time goes at scale.
 //!
 //! ```text
 //! cargo run -p ckpt_bench --release --bin planscale
@@ -20,10 +21,11 @@
 //! fields from the digest line) — the placement digest is complete
 //! without it, and time-budgeted CI smokes only need the placement.
 
-use ckpt_bench::engine::{Stage, StageWalls};
+use ckpt_bench::engine::in_stage;
 use ckpt_bench::{Args, ObsOut, BANDWIDTH};
+use ckpt_core::stage::{schedule_stage, segment_graph_stage, wall_summary};
 use ckpt_core::{
-    allocate, coalesce, lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, Strategy,
+    lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, StageId, Strategy,
 };
 use mspg::linearize::Linearizer;
 use probdag::{Evaluator, PathApprox};
@@ -40,8 +42,7 @@ fn main() {
     let plan_threads: usize = args.get_or("plan-threads", 1);
     let eval: usize = args.get_or("eval", 1);
 
-    let walls = StageWalls::new();
-    let w = walls.time(Stage::Generate, || match shape.as_str() {
+    let w = in_stage(StageId::Generate, || match shape.as_str() {
         "chain" => pegasus::generic::chain(tasks, seed),
         "forkjoin" => {
             let levels = (tasks / (width + 1)).max(1);
@@ -50,27 +51,22 @@ fn main() {
         other => panic!("unknown --shape `{other}` (chain|forkjoin)"),
     });
     let n = w.n_tasks();
-    let schedule = walls.time(Stage::Schedule, || {
-        allocate(
-            &w,
-            procs,
-            &AllocateConfig {
-                linearizer: Linearizer::Structural,
-                seed,
-            },
-        )
-    });
+    let cfg = AllocateConfig {
+        linearizer: Linearizer::Structural,
+        seed,
+    };
+    let schedule = schedule_stage(&w, procs, &cfg).expect("--procs must be at least 1");
     let n_chains = schedule.superchains.len();
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, BANDWIDTH);
     let pipe = Pipeline::with_schedule(&w, platform, schedule).with_plan_threads(plan_threads);
-    let plan = walls.time(Stage::Plan, || pipe.plan(Strategy::CkptSome));
-    // Coalescing is part of planning; reuse the computed plan rather
-    // than replanning through `segment_graph`.
+    let plan = pipe.plan(Strategy::CkptSome);
+    // Coalesce the computed plan rather than replanning through
+    // `segment_graph`.
     let ctx = CostCtx::exponential(&w.dag, lambda, BANDWIDTH);
-    let sg = walls.time(Stage::Plan, || coalesce(&ctx, &pipe.schedule, &plan));
+    let sg = segment_graph_stage(&ctx, &pipe.schedule, &plan).expect("valid by construction");
     let em = (eval != 0).then(|| {
-        walls.time(Stage::Evaluate, || {
+        in_stage(StageId::EvalAnalytic, || {
             PathApprox::default().expected_makespan(&sg.pdag)
         })
     });
@@ -96,6 +92,6 @@ fn main() {
          plan_threads={plan_threads} segments={}",
         sg.segments.len()
     );
-    eprintln!("stage walls: {}", walls.report().summary());
+    eprintln!("stage walls: {}", wall_summary());
     obs_out.finish().expect("write observability outputs");
 }

@@ -57,7 +57,7 @@ fn main() {
         report.workers,
         report.mc_threads,
     );
-    eprintln!("stage walls: {}", report.stages.summary());
+    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
     // Per-(policy, model)-block wall-clock attribution (diagnostic
     // only, never part of the CSV).
     for (label, range) in scenario.blocks() {

@@ -13,10 +13,16 @@
 //! * [`run`] executes cells on a work-queue thread pool, re-sequencing
 //!   results so the CSV stream is **byte-identical for every thread
 //!   count** (see `DESIGN.md` §5.1 for the determinism argument);
-//! * a [`WorkflowCache`] shares generated instances and CCR-invariant
-//!   schedules across all cells of a `(class, size)` lane;
+//! * a per-run [`ckpt_service::Store`] shares generated instances and
+//!   CCR-invariant schedules across all cells of a `(class, size)`
+//!   lane, keyed exactly as a what-if `Session` keys them;
 //! * a [`RowSink`] streams rows out as soon as their canonical
 //!   predecessors exist, replacing the collect-then-write pattern.
+//!
+//! Cell work is timed by the stage layer's one timer,
+//! [`ckpt_core::stage::traced`]: the stage functions `Pipeline` calls
+//! run under it, and so does cell work that is not a stage function
+//! (Monte Carlo, the CCR rescale) via [`in_stage`].
 //!
 //! ## Thread budget
 //!
@@ -37,27 +43,56 @@
 //! Oversubscribing `workers × mc_threads` past the core count costs
 //! some scheduling overhead but never changes a value.
 
-pub mod cache;
 pub mod pool;
 pub mod sink;
 pub mod spec;
-pub mod stage;
 
-pub use cache::{CacheStats, WorkflowCache};
 pub use pool::ordered_parallel;
 pub use sink::{CsvFileSink, NullSink, RowSink, StringSink};
 pub use spec::{CcrAxis, Cell, Grid, ProcAxis, StrategyAxis};
-pub use stage::{Stage, StageReport, StageWalls, STAGES};
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use ckpt_core::{lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule};
+use ckpt_core::stage::traced;
+use ckpt_core::{
+    lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule, StageId,
+};
+use ckpt_service::{generate_keyed, schedule_keyed, Store, WorkflowArtifact};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 
 use crate::BANDWIDTH;
+
+/// Per-memo capacity of a run's store: comfortably above any shipped
+/// grid's per-(class, size, instance) lane count, so eviction only
+/// engages on genuinely huge sweeps (and can only cost a recompute).
+const DEFAULT_CACHE_CAPACITY: usize = 512;
+
+/// Workflow/schedule lookup counters of one engine run (the run's
+/// store's `workflows` and `schedules` memos).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheStats {
+    /// Workflow lookups served from the store.
+    pub workflow_hits: usize,
+    /// Workflow lookups that generated a new instance.
+    pub workflow_misses: usize,
+    /// Schedule lookups served from the store.
+    pub schedule_hits: usize,
+    /// Schedule lookups that ran `Allocate`.
+    pub schedule_misses: usize,
+    /// Entries dropped by the capacity bound (both memos).
+    pub evictions: usize,
+}
+
+/// Runs cell work `f` that is not itself a stage function (Monte Carlo,
+/// the CCR rescale) as one execution of `stage` under
+/// [`ckpt_core::stage::traced`], so it lands in the same span name and
+/// wall histogram as the stage functions.
+pub fn in_stage<T>(stage: StageId, f: impl FnOnce() -> T) -> T {
+    traced(stage, || Ok(f())).expect("infallible cell work")
+}
 
 /// Engine-wide execution parameters.
 #[derive(Clone, Copy, Debug)]
@@ -97,11 +132,15 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-cell execution context: the shared cache, the cell's nested
-/// thread budgets, and the shared per-stage wall accumulator.
+/// Per-cell execution context: the run's shared store and the cell's
+/// nested thread budgets.
+///
+/// The store memoizes only what cells share — each lane's unscaled
+/// workflow and its `(procs, linearizer)` schedules. Curves, placements,
+/// segment graphs and evaluations are per-cell: no two cells of a grid
+/// share a `(procs, pfail, ccr)` point.
 pub struct CellCtx<'e> {
-    cache: &'e WorkflowCache,
-    stages: &'e StageWalls,
+    store: &'e Store,
     /// Thread budget for Monte Carlo work nested inside one cell
     /// (0 = all cores). Plumb this into `probdag::MonteCarlo::threads` /
     /// `failsim::SimConfig::threads`; it only sets the pace, never the
@@ -113,61 +152,55 @@ pub struct CellCtx<'e> {
 }
 
 impl CellCtx<'_> {
-    /// Runs `f`, charging its elapsed wall time to `stage` in the run's
-    /// shared [`StageWalls`]. Scenarios wrap their planning and
-    /// evaluation calls in this; generation and scheduling are timed by
-    /// the [`CellCtx`] accessors themselves.
-    #[inline]
-    pub fn timed<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        self.stages.time(stage, f)
-    }
-
     /// Seed of instance `i` of this cell's `(class, size)` lane.
     pub fn instance_seed(&self, cell: &Cell, i: usize) -> u64 {
         seedmix::stream_seed(cell.seed, i as u64)
     }
 
-    /// The cached **unscaled** workflow instance `i` of this cell's lane.
-    ///
-    /// Charged to [`Stage::Generate`] (near-zero on cache hits).
-    pub fn instance(&self, cell: &Cell, i: usize) -> Arc<Workflow> {
-        self.timed(Stage::Generate, || {
-            self.cache
-                .workflow(cell.class, cell.size, self.instance_seed(cell, i))
-        })
+    /// The **unscaled** workflow instance `i` of this cell's lane,
+    /// generated on its lane's first lookup in the run (a
+    /// `resolve.generate` span, as a `Session` emits).
+    pub fn instance(&self, cell: &Cell, i: usize) -> Arc<WorkflowArtifact> {
+        let seed = self.instance_seed(cell, i);
+        let (key, generate) = generate_keyed(cell.class, cell.size, seed, None, BANDWIDTH);
+        let workflows = &self.store.workflows;
+        let (wa, _) = workflows.resolve(StageId::Generate, key, generate);
+        wa.expect("grid inputs are valid by construction")
     }
 
     /// A clone of instance `i` rescaled to the cell's CCR at the
-    /// experiment bandwidth. Charged to [`Stage::Generate`].
+    /// experiment bandwidth (the rescale runs as a Generate execution).
     pub fn scaled_instance(&self, cell: &Cell, i: usize) -> Workflow {
-        let w = self.instance(cell, i);
-        self.timed(Stage::Generate, || {
-            let mut w = (*w).clone();
+        let wa = self.instance(cell, i);
+        in_stage(StageId::Generate, || {
+            let mut w = wa.workflow.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
             w
         })
     }
 
-    /// The cached schedule of instance `i` on the cell's processors.
+    /// The schedule of the **unscaled** instance `i` on the cell's
+    /// processors, computed on its first lookup in the run (a
+    /// `resolve.schedule` span).
     ///
-    /// Charged to [`Stage::Schedule`] (near-zero on cache hits).
+    /// For `Structural`/`RandomTopo` linearizers this is bit-identical to
+    /// scheduling any CCR-rescaled clone; for `MinVolume` (which ranks by
+    /// data volume) uniform rescaling preserves the ranking up to
+    /// floating-point ties, and the unscaled order is the canonical one.
     pub fn schedule(&self, cell: &Cell, i: usize, linearizer: Linearizer) -> Arc<Schedule> {
-        self.timed(Stage::Schedule, || {
-            self.cache.schedule(
-                cell.class,
-                cell.size,
-                self.instance_seed(cell, i),
-                cell.procs,
-                &AllocateConfig {
-                    linearizer,
-                    seed: 0, // overwritten by the cache with the instance seed
-                },
-            )
-        })
+        let wa = self.instance(cell, i);
+        let alloc = AllocateConfig {
+            linearizer,
+            seed: self.instance_seed(cell, i),
+        };
+        let (key, schedule) = schedule_keyed(&wa, cell.procs, alloc);
+        let schedules = &self.store.schedules;
+        let (schedule, _) = schedules.resolve(StageId::Schedule, key, schedule);
+        schedule.expect("grid inputs are valid by construction")
     }
 
     /// The evaluation pipeline of the rescaled instance `w` (a clone
-    /// obtained from [`CellCtx::scaled_instance`]) under the cached
+    /// obtained from [`CellCtx::scaled_instance`]) under the shared
     /// schedule and the cell's platform.
     pub fn pipeline<'w>(
         &self,
@@ -192,8 +225,7 @@ impl CellCtx<'_> {
         model: FailureModel,
     ) -> Pipeline<'w> {
         let platform = Platform::with_model(cell.procs, model, BANDWIDTH);
-        let schedule = self.schedule(cell, i, linearizer);
-        Pipeline::with_schedule(w, platform, (*schedule).clone())
+        Pipeline::with_schedule(w, platform, self.schedule(cell, i, linearizer))
             .with_plan_threads(self.plan_threads)
     }
 }
@@ -242,13 +274,9 @@ pub struct RunReport<R> {
     pub mc_threads: usize,
     /// Per-superchain placement budget each pipeline received.
     pub plan_threads: usize,
-    /// Per-stage wall seconds, summed across workers (diagnostic only —
-    /// never part of the CSV). Only stages a scenario routes through
-    /// [`CellCtx::timed`] (or the timed accessors) are non-zero.
-    pub stages: StageReport,
     /// Wall-clock seconds for the whole run.
     pub wall: f64,
-    /// Workflow/schedule cache counters.
+    /// Workflow/schedule lookup counters of the run's store.
     pub cache: CacheStats,
 }
 
@@ -297,11 +325,9 @@ pub fn run<S: Scenario>(
         .min(cells.len())
         .max(1);
     let mc_threads = cfg.mc_threads;
-    let cache = WorkflowCache::new();
-    let stages = StageWalls::new();
+    let store = Store::bounded(DEFAULT_CACHE_CAPACITY);
     let ctx = CellCtx {
-        cache: &cache,
-        stages: &stages,
+        store: &store,
         mc_threads,
         plan_threads: cfg.plan_threads,
     };
@@ -322,7 +348,7 @@ pub fn run<S: Scenario>(
             // reports the same nanoseconds the trace records (zero when
             // the observability layer is compiled out — diagnostic only).
             let (out, nanos) =
-                obs::span::timed_full("cell", None, Some(i as u64), cell_parent, || {
+                obs::span::timed_full("cell", None, Some(i as u64), cell_parent, |_| {
                     scenario.run_cell(&cells[i], &ctx)
                 });
             (out, nanos as f64 * 1e-9)
@@ -353,6 +379,7 @@ pub fn run<S: Scenario>(
     }
     sink.finish()
         .map_err(|e| sink_context(e, scenario.name(), "finishing output", None))?;
+    let (w, s) = (store.workflows.stats(), store.schedules.stats());
     Ok(RunReport {
         rows,
         cell_walls,
@@ -360,9 +387,14 @@ pub fn run<S: Scenario>(
         workers,
         mc_threads,
         plan_threads: cfg.plan_threads,
-        stages: stages.report(),
         wall: start.elapsed().as_secs_f64(),
-        cache: cache.stats(),
+        cache: CacheStats {
+            workflow_hits: w.hits as usize,
+            workflow_misses: w.misses as usize,
+            schedule_hits: s.hits as usize,
+            schedule_misses: s.misses as usize,
+            evictions: (w.evictions + s.evictions) as usize,
+        },
     })
 }
 
@@ -373,7 +405,7 @@ mod tests {
 
     /// A synthetic scenario exercising the engine plumbing without the
     /// full evaluation pipeline: rows record cell coordinates and the
-    /// cached instance's task count.
+    /// stored instance's task count.
     struct Probe;
 
     impl Scenario for Probe {
@@ -400,7 +432,7 @@ mod tests {
         fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<Self::Row> {
             let mut tasks = 0;
             for i in 0..cell.instances {
-                tasks = ctx.instance(cell, i).n_tasks();
+                tasks = ctx.instance(cell, i).workflow.n_tasks();
             }
             vec![(cell.index, tasks, cell.seed)]
         }
@@ -437,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn workflow_cache_is_shared_across_cells() {
+    fn store_shares_workflows_across_cells() {
         let mut sink = NullSink;
         let report = run(&Probe, &EngineConfig::with_threads(1), &mut sink).unwrap();
         // 6 cells × 2 instances = 12 lookups, but only 2 distinct
@@ -466,22 +498,6 @@ mod tests {
         let report = run(&Probe, &cfg, &mut NullSink).unwrap();
         assert_eq!(report.mc_threads, 3);
         assert_eq!(report.plan_threads, 4);
-    }
-
-    // The stage clock is `obs::span::timed`, which reports zero
-    // nanoseconds when the observability layer is compiled out — so the
-    // positive half of this assertion only holds with `observe` on.
-    #[cfg(feature = "observe")]
-    #[test]
-    fn timed_accessors_fill_the_stage_report() {
-        let report = run(&Probe, &EngineConfig::with_threads(1), &mut NullSink).unwrap();
-        // Probe only generates instances: Generate accumulates, the
-        // untouched stages stay exactly zero.
-        assert!(report.stages.generate > 0.0);
-        assert_eq!(report.stages.schedule, 0.0);
-        assert_eq!(report.stages.plan, 0.0);
-        assert_eq!(report.stages.evaluate, 0.0);
-        assert!(report.stages.summary().starts_with("generate "));
     }
 
     /// A sink that fails on the nth row.

@@ -7,11 +7,10 @@
 //! ([`StrategiesScenario`]) along the checkpoint-policy axis (the DP vs
 //! Young/Daly periodic, risk-threshold, and structural placements).
 
-use ckpt_core::policy::{
-    CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy,
-    GreedyCrossover, RiskThreshold,
-};
-use ckpt_core::{allocate, AllocateConfig, FailureModel, Schedule, Strategy};
+use std::sync::Arc;
+
+use ckpt_core::{allocate, AllocateConfig, Schedule, StageId, Strategy};
+use ckpt_service::{ModelSpec, PolicySpec};
 use failsim::{
     montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
     SimConfig,
@@ -22,7 +21,7 @@ use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
-use crate::engine::{CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, Stage, StrategyAxis};
+use crate::engine::{in_stage, CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, StrategyAxis};
 use crate::{figure_csv, timed_eval, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES};
 
 /// E1/E2/E3 — one figure: relative expected makespan of CkptAll and
@@ -91,23 +90,13 @@ impl Scenario for FigureScenario {
             let w = ctx.scaled_instance(cell, i);
             actual = w.n_tasks();
             let pipe = ctx.pipeline(cell, i, &w, Linearizer::RandomTopo);
-            // assess = segment_graph (Plan) + assess_graph (Evaluate);
-            // split so the stage walls attribute each half.
-            let assess = |strategy: Strategy| {
-                let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-                ctx.timed(Stage::Evaluate, || {
-                    pipe.assess_graph(strategy.name(), &sg, &evaluator)
-                })
-            };
-            let some = assess(Strategy::CkptSome);
+            let some = pipe.assess(Strategy::CkptSome, &evaluator);
             em_some += some.expected_makespan;
             ckpts += some.n_checkpoints;
-            em_all += assess(Strategy::CkptAll).expected_makespan;
+            em_all += pipe.assess(Strategy::CkptAll, &evaluator).expected_makespan;
             // CkptNone is the Theorem 1 closed form — no planning stage.
-            em_none += ctx
-                .timed(Stage::Evaluate, || {
-                    pipe.assess(Strategy::CkptNone, &evaluator)
-                })
+            em_none += pipe
+                .assess(Strategy::CkptNone, &evaluator)
                 .expected_makespan;
         }
         let nf = cell.instances as f64;
@@ -203,17 +192,19 @@ impl Scenario for AccuracyScenario {
         let strategy = cell.strategy.expect("accuracy cells carry a strategy");
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
+        let sg = pipe.segment_graph(strategy);
         let mc = MonteCarlo {
             trials: self.trials,
             seed: ctx.instance_seed(cell, 0),
             threads: ctx.mc_threads,
         };
-        let (truth, evals) = ctx.timed(Stage::Evaluate, || {
+        let (truth, mc_time) = in_stage(StageId::EvalMc, || {
             let t0 = std::time::Instant::now();
             let truth = mc.run(&sg.pdag);
-            let mc_time = t0.elapsed().as_secs_f64();
-            let evals: Vec<(&'static str, f64, f64)> = vec![
+            (truth, t0.elapsed().as_secs_f64())
+        });
+        let evals = in_stage(StageId::EvalAnalytic, || {
+            vec![
                 ("MonteCarlo", truth.mean, mc_time),
                 {
                     let (v, t) = timed_eval(&Dodin::default(), &sg.pdag);
@@ -227,8 +218,7 @@ impl Scenario for AccuracyScenario {
                     let (v, t) = timed_eval(&PathApprox::default(), &sg.pdag);
                     ("PathApprox", v, t)
                 },
-            ];
-            (truth, evals)
+            ]
         });
         evals
             .into_iter()
@@ -344,9 +334,11 @@ impl Scenario for ValidateScenario {
             // simulation (assess = segment_graph + evaluator, so this is
             // bit-identical to assessing separately at half the planning
             // cost).
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            let model = ctx.timed(Stage::Evaluate, || evaluator.expected_makespan(&sg.pdag));
-            let sim = ctx.timed(Stage::Evaluate, || montecarlo_segments(&sg, lambda, &cfg));
+            let sg = pipe.segment_graph(strategy);
+            let model = in_stage(StageId::EvalAnalytic, || {
+                evaluator.expected_makespan(&sg.pdag)
+            });
+            let sim = in_stage(StageId::EvalMc, || montecarlo_segments(&sg, lambda, &cfg));
             rows.push(ValidateRow {
                 class: cell.class,
                 size: cell.size,
@@ -360,12 +352,10 @@ impl Scenario for ValidateScenario {
                 diverged: 0,
             });
         }
-        let model = ctx
-            .timed(Stage::Evaluate, || {
-                pipe.assess(Strategy::CkptNone, &evaluator)
-            })
+        let model = pipe
+            .assess(Strategy::CkptNone, &evaluator)
             .expected_makespan;
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let sim = in_stage(StageId::EvalMc, || {
             montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg)
         });
         rows.push(ValidateRow {
@@ -463,12 +453,9 @@ impl Scenario for LinearizationScenario {
         let w = ctx.scaled_instance(cell, 0);
         let evaluator = PathApprox::default();
         let em = |lin: Linearizer| {
-            let pipe = ctx.pipeline(cell, 0, &w, lin);
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(Strategy::CkptSome));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(Strategy::CkptSome.name(), &sg, &evaluator)
-            })
-            .expected_makespan
+            ctx.pipeline(cell, 0, &w, lin)
+                .assess(Strategy::CkptSome, &evaluator)
+                .expected_makespan
         };
         let em_random = em(Linearizer::RandomTopo);
         let em_minvolume = em(Linearizer::MinVolume);
@@ -560,13 +547,7 @@ impl Scenario for NaiveCoalesceScenario {
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| {
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(strategy.name(), &sg, &evaluator)
-            })
-            .expected_makespan
-        };
+        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
         let em_exit_only = em(Strategy::ExitOnly);
         let em_ckptsome = em(Strategy::CkptSome);
         vec![NaiveCoalesceRow {
@@ -618,14 +599,15 @@ pub struct LigoFootnoteRow {
 /// CkptAll's costs are unaffected by the zero-size dummies.
 ///
 /// The two 300-task instances (and their CCR-invariant schedules) are
-/// built once at construction; each cell only rescales clones.
+/// built once at construction; each cell only rescales clones and
+/// shares the schedules.
 pub struct LigoFootnoteScenario {
     ccr_points: usize,
     base_seed: u64,
     mainline: Workflow,
-    mainline_schedule: Schedule,
+    mainline_schedule: Arc<Schedule>,
     patched: Workflow,
-    patched_schedule: Schedule,
+    patched_schedule: Arc<Schedule>,
 }
 
 /// CSV header of the E8 table.
@@ -655,8 +637,8 @@ impl LigoFootnoteScenario {
             linearizer: Linearizer::RandomTopo,
             seed: wf_seed,
         };
-        let mainline_schedule = allocate(&mainline, LIGO_FOOTNOTE_PROCS, &cfg);
-        let patched_schedule = allocate(&patched, LIGO_FOOTNOTE_PROCS, &cfg);
+        let mainline_schedule = Arc::new(allocate(&mainline, LIGO_FOOTNOTE_PROCS, &cfg));
+        let patched_schedule = Arc::new(allocate(&patched, LIGO_FOOTNOTE_PROCS, &cfg));
         LigoFootnoteScenario {
             ccr_points,
             base_seed,
@@ -667,24 +649,18 @@ impl LigoFootnoteScenario {
         }
     }
 
-    fn rel_all(&self, w: &Workflow, schedule: &Schedule, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
-        let w = ctx.timed(Stage::Generate, || {
+    fn rel_all(w: &Workflow, schedule: Arc<Schedule>, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
+        let w = in_stage(StageId::Generate, || {
             let mut w = w.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
             w
         });
         let lambda = ckpt_core::lambda_from_pfail(cell.pfail, w.dag.mean_weight());
         let platform = ckpt_core::Platform::new(cell.procs, lambda, BANDWIDTH);
-        let pipe = ckpt_core::Pipeline::with_schedule(&w, platform, schedule.clone())
+        let pipe = ckpt_core::Pipeline::with_schedule(&w, platform, schedule)
             .with_plan_threads(ctx.plan_threads);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| {
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            ctx.timed(Stage::Evaluate, || {
-                pipe.assess_graph(strategy.name(), &sg, &evaluator)
-            })
-            .expected_makespan
-        };
+        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
         em(Strategy::CkptAll) / em(Strategy::CkptSome)
     }
 }
@@ -713,14 +689,14 @@ impl Scenario for LigoFootnoteScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LigoFootnoteRow> {
-        let rel_all_mainline = self.rel_all(&self.mainline, &self.mainline_schedule, cell, ctx);
-        let rel_all_patched = self.rel_all(&self.patched, &self.patched_schedule, cell, ctx);
+        let mainline = Self::rel_all(&self.mainline, self.mainline_schedule.clone(), cell, ctx);
+        let patched = Self::rel_all(&self.patched, self.patched_schedule.clone(), cell, ctx);
         vec![LigoFootnoteRow {
             ccr: cell.ccr,
             pfail: cell.pfail,
-            rel_all_mainline,
-            rel_all_patched,
-            sync_penalty: rel_all_mainline - rel_all_patched,
+            rel_all_mainline: mainline,
+            rel_all_patched: patched,
+            sync_penalty: mainline - patched,
         }]
     }
 
@@ -736,50 +712,22 @@ impl Scenario for LigoFootnoteScenario {
     }
 }
 
-/// A failure-model family point of the E9 `distributions` grid: the
-/// family plus its shape knob, calibrated per cell against the cell's
-/// `pfail` and the instance's mean task weight.
-#[derive(Clone, Copy, Debug)]
-pub enum DistModel {
-    /// The paper's memoryless baseline.
-    Exponential,
-    /// Weibull with the given shape (`< 1` infant mortality, `> 1`
-    /// wear-out).
-    Weibull {
-        /// Shape `k`.
-        shape: f64,
-    },
-    /// LogNormal with the given log-deviation.
-    LogNormal {
-        /// Log-std `σ`.
-        sigma: f64,
-    },
-}
-
-impl DistModel {
-    /// The family's shape knob (1 for the exponential, `k` for Weibull,
-    /// `σ` for LogNormal).
-    pub fn shape(self) -> f64 {
-        match self {
-            DistModel::Exponential => 1.0,
-            DistModel::Weibull { shape } => shape,
-            DistModel::LogNormal { sigma } => sigma,
-        }
-    }
-
-    /// Calibrates the concrete [`FailureModel`] so a task of
-    /// `mean_weight` fails with probability `pfail`.
-    pub fn calibrate(self, pfail: f64, mean_weight: f64) -> FailureModel {
-        match self {
-            DistModel::Exponential => FailureModel::exponential_from_pfail(pfail, mean_weight),
-            DistModel::Weibull { shape } => {
-                FailureModel::weibull_from_pfail(shape, pfail, mean_weight)
-            }
-            DistModel::LogNormal { sigma } => {
-                FailureModel::lognormal_from_pfail(sigma, pfail, mean_weight)
-            }
-        }
-    }
+/// The cells of `base` repeated `blocks` times, re-indexed: the E9/E10
+/// block grids, where every block pairs the same lanes, seeds and
+/// pfails. `per_block` is the block size the scenario computes
+/// arithmetically; it must match the enumeration.
+fn repeat_blocks(base: Grid, per_block: usize, blocks: usize) -> Vec<Cell> {
+    let base = base.cells();
+    assert_eq!(
+        base.len(),
+        per_block,
+        "block size out of sync with the base grid"
+    );
+    (0..blocks)
+        .flat_map(|_| &base)
+        .enumerate()
+        .map(|(index, c)| Cell { index, ..c.clone() })
+        .collect()
 }
 
 /// One row of the E9 `distributions` table.
@@ -826,8 +774,11 @@ pub struct DistributionRow {
 /// comparison across families).
 #[derive(Clone, Debug)]
 pub struct DistributionsScenario {
-    /// Failure-model family points.
-    pub models: Vec<DistModel>,
+    /// Failure-model family points. Each cell re-calibrates its family
+    /// to the cell's `pfail` ([`ModelSpec::with_pfail`]), so the `pfail`
+    /// a family is listed with is a placeholder (NaN in the standard
+    /// study).
+    pub models: Vec<ModelSpec>,
     /// Workflow sizes.
     pub sizes: Vec<usize>,
     /// Per-task failure probabilities.
@@ -846,12 +797,13 @@ impl DistributionsScenario {
     /// The default study: exponential baseline, infant-mortality and
     /// wear-out Weibull, and a heavy-tailed LogNormal.
     pub fn standard(runs: usize, sizes: Vec<usize>, base_seed: u64) -> Self {
+        let pfail = f64::NAN; // placeholder: each cell re-calibrates
         DistributionsScenario {
             models: vec![
-                DistModel::Exponential,
-                DistModel::Weibull { shape: 0.7 },
-                DistModel::Weibull { shape: 2.0 },
-                DistModel::LogNormal { sigma: 1.0 },
+                ModelSpec::Exponential { pfail },
+                ModelSpec::Weibull { shape: 0.7, pfail },
+                ModelSpec::Weibull { shape: 2.0, pfail },
+                ModelSpec::LogNormal { sigma: 1.0, pfail },
             ],
             sizes,
             pfails: vec![0.01, 0.001],
@@ -883,7 +835,7 @@ impl DistributionsScenario {
 
     /// The model a cell belongs to (cells are the base grid repeated
     /// once per model, in model order).
-    fn model_of(&self, cell: &Cell) -> DistModel {
+    fn model_of(&self, cell: &Cell) -> ModelSpec {
         self.models[cell.index / self.cells_per_model()]
     }
 
@@ -895,11 +847,11 @@ impl DistributionsScenario {
         self.models
             .iter()
             .enumerate()
-            .map(|(m, dist)| {
-                let label = match dist {
-                    DistModel::Exponential => "exponential".to_owned(),
-                    DistModel::Weibull { shape } => format!("weibull(k={shape})"),
-                    DistModel::LogNormal { sigma } => format!("lognormal(s={sigma})"),
+            .map(|(m, spec)| {
+                let label = match spec.with_pfail(0.0) {
+                    ModelSpec::Weibull { shape, .. } => format!("weibull(k={shape})"),
+                    ModelSpec::LogNormal { sigma, .. } => format!("lognormal(s={sigma})"),
+                    _ => "exponential".to_owned(),
                 };
                 (label, m * block..(m + 1) * block)
             })
@@ -916,28 +868,13 @@ impl Scenario for DistributionsScenario {
 
     fn cells(&self) -> Vec<Cell> {
         assert!(!self.models.is_empty(), "need at least one model");
-        let base = self.base_grid().cells();
-        assert_eq!(
-            base.len(),
-            self.cells_per_model(),
-            "cells_per_model out of sync with base_grid"
-        );
-        let mut cells = Vec::with_capacity(base.len() * self.models.len());
-        for _ in &self.models {
-            for c in &base {
-                cells.push(Cell {
-                    index: cells.len(),
-                    ..c.clone()
-                });
-            }
-        }
-        cells
+        repeat_blocks(self.base_grid(), self.cells_per_model(), self.models.len())
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<DistributionRow> {
-        let dist = self.model_of(cell);
+        let spec = self.model_of(cell).with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
-        let model = dist.calibrate(cell.pfail, w.dag.mean_weight());
+        let model = spec.build(w.dag.mean_weight());
         let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
         let cfg = SimConfig {
             runs: self.runs,
@@ -960,7 +897,7 @@ impl Scenario for DistributionsScenario {
                 pfail: cell.pfail,
                 ccr: cell.ccr,
                 model: model.family_name(),
-                shape: dist.shape(),
+                shape: spec.shape(),
                 strategy: strategy.name(),
                 model_em,
                 sim_em,
@@ -979,19 +916,19 @@ impl Scenario for DistributionsScenario {
         for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
             // One segment graph per strategy for both columns (see
             // ValidateScenario::run_cell).
-            let sg = ctx.timed(Stage::Plan, || pipe.segment_graph(strategy));
-            let model_em = ctx.timed(Stage::Evaluate, || evaluator.expected_makespan(&sg.pdag));
-            let sim = ctx.timed(Stage::Evaluate, || {
+            let sg = pipe.segment_graph(strategy);
+            let model_em = in_stage(StageId::EvalAnalytic, || {
+                evaluator.expected_makespan(&sg.pdag)
+            });
+            let sim = in_stage(StageId::EvalMc, || {
                 montecarlo_segments_model(&sg, &model, &cfg)
             });
             row(strategy, model_em, sim.mean_makespan, sim.stderr, 0);
         }
-        let model_em = ctx
-            .timed(Stage::Evaluate, || {
-                pipe.assess(Strategy::CkptNone, &evaluator)
-            })
+        let model_em = pipe
+            .assess(Strategy::CkptNone, &evaluator)
             .expected_makespan;
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let sim = in_stage(StageId::EvalMc, || {
             montecarlo_none_model(&w.dag, &pipe.schedule, &model, &cfg)
         });
         row(
@@ -1025,57 +962,6 @@ impl Scenario for DistributionsScenario {
             r.rel_err_pct,
             r.diverged
         )
-    }
-}
-
-/// A checkpoint-policy point of the E10 `strategies` grid: the builtin
-/// policy plus its knob, instantiable per cell.
-#[derive(Clone, Copy, Debug)]
-pub enum PolicyChoice {
-    /// The paper's DP placement (CkptSome).
-    DpOptimal,
-    /// Checkpoint after every task.
-    CkptAll,
-    /// Checkpoint superchain exits only.
-    ExitOnly,
-    /// Young/Daly periodic checkpointing with the model-derived period.
-    Daly,
-    /// Adaptive risk-threshold checkpointing with the given per-segment
-    /// failure-probability bound.
-    Risk {
-        /// Per-segment failure-probability bound, in `(0, 1)`.
-        max_risk: f64,
-    },
-    /// The structural crossover heuristic.
-    Crossover,
-}
-
-impl PolicyChoice {
-    /// Builds the policy object this choice names.
-    pub fn instantiate(&self) -> Box<dyn CheckpointPolicy> {
-        match *self {
-            PolicyChoice::DpOptimal => Box::new(DpOptimalPolicy),
-            PolicyChoice::CkptAll => Box::new(CkptAllPolicy),
-            PolicyChoice::ExitOnly => Box::new(ExitOnlyPolicy),
-            PolicyChoice::Daly => Box::new(DalyPeriodic::auto()),
-            PolicyChoice::Risk { max_risk } => Box::new(RiskThreshold::new(max_risk)),
-            PolicyChoice::Crossover => Box::new(GreedyCrossover),
-        }
-    }
-
-    /// The policy's display name (CSV label). Knob values are **not**
-    /// encoded in the label, so a grid should carry at most one point
-    /// per policy family — two `Risk` points would emit
-    /// indistinguishable rows.
-    pub fn name(&self) -> &'static str {
-        match *self {
-            PolicyChoice::DpOptimal => DpOptimalPolicy.name(),
-            PolicyChoice::CkptAll => CkptAllPolicy.name(),
-            PolicyChoice::ExitOnly => ExitOnlyPolicy.name(),
-            PolicyChoice::Daly => DalyPeriodic::auto().name(),
-            PolicyChoice::Risk { .. } => "RiskThreshold",
-            PolicyChoice::Crossover => GreedyCrossover.name(),
-        }
     }
 }
 
@@ -1129,10 +1015,12 @@ pub struct StrategyRow {
 /// along both new axes.
 #[derive(Clone, Debug)]
 pub struct StrategiesScenario {
-    /// Checkpoint policies (blocks, outermost axis).
-    pub policies: Vec<PolicyChoice>,
-    /// Failure-model family points (inner block axis).
-    pub models: Vec<DistModel>,
+    /// Checkpoint policies (blocks, outermost axis). Names carry no knob
+    /// values, so list at most one point per policy family.
+    pub policies: Vec<PolicySpec>,
+    /// Failure-model family points (inner block axis), re-calibrated per
+    /// cell as in [`DistributionsScenario::models`].
+    pub models: Vec<ModelSpec>,
     /// Workflow classes.
     pub classes: Vec<WorkflowClass>,
     /// Workflow sizes.
@@ -1155,19 +1043,20 @@ impl StrategiesScenario {
     /// structurally extreme classes (Genome's deep lanes, Montage's
     /// wide levels).
     pub fn standard(runs: usize, sizes: Vec<usize>, base_seed: u64) -> Self {
+        let pfail = f64::NAN; // placeholder: each cell re-calibrates
         StrategiesScenario {
             policies: vec![
-                PolicyChoice::DpOptimal,
-                PolicyChoice::CkptAll,
-                PolicyChoice::ExitOnly,
-                PolicyChoice::Daly,
-                PolicyChoice::Risk { max_risk: 0.1 },
-                PolicyChoice::Crossover,
+                PolicySpec::DpOptimal,
+                PolicySpec::CkptAll,
+                PolicySpec::ExitOnly,
+                PolicySpec::Daly { period: None },
+                PolicySpec::Risk { max_risk: 0.1 },
+                PolicySpec::Crossover,
             ],
             models: vec![
-                DistModel::Exponential,
-                DistModel::Weibull { shape: 0.7 },
-                DistModel::Weibull { shape: 2.0 },
+                ModelSpec::Exponential { pfail },
+                ModelSpec::Weibull { shape: 0.7, pfail },
+                ModelSpec::Weibull { shape: 2.0, pfail },
             ],
             classes: vec![WorkflowClass::Genome, WorkflowClass::Montage],
             sizes,
@@ -1198,7 +1087,7 @@ impl StrategiesScenario {
     }
 
     /// The `(policy, model)` pair a cell belongs to.
-    fn block_of(&self, cell: &Cell) -> (PolicyChoice, DistModel) {
+    fn block_of(&self, cell: &Cell) -> (PolicySpec, ModelSpec) {
         let block = cell.index / self.cells_per_block();
         (
             self.policies[block / self.models.len()],
@@ -1213,18 +1102,15 @@ impl StrategiesScenario {
         let block = self.cells_per_block();
         let mut out = Vec::with_capacity(self.policies.len() * self.models.len());
         for (p, policy) in self.policies.iter().enumerate() {
-            for (m, dist) in self.models.iter().enumerate() {
+            for (m, spec) in self.models.iter().enumerate() {
                 let i = p * self.models.len() + m;
-                let label = format!(
-                    "{}/{}({})",
-                    policy.name(),
-                    match dist {
-                        DistModel::Exponential => "exponential",
-                        DistModel::Weibull { .. } => "weibull",
-                        DistModel::LogNormal { .. } => "lognormal",
-                    },
-                    dist.shape()
-                );
+                let spec = spec.with_pfail(0.0);
+                let family = match spec {
+                    ModelSpec::Weibull { .. } => "weibull",
+                    ModelSpec::LogNormal { .. } => "lognormal",
+                    _ => "exponential",
+                };
+                let label = format!("{}/{family}({})", policy.name(), spec.shape());
                 out.push((label, i * block..(i + 1) * block));
             }
         }
@@ -1242,37 +1128,20 @@ impl Scenario for StrategiesScenario {
     fn cells(&self) -> Vec<Cell> {
         assert!(!self.policies.is_empty(), "need at least one policy");
         assert!(!self.models.is_empty(), "need at least one model");
-        let base = self.base_grid().cells();
-        assert_eq!(
-            base.len(),
-            self.cells_per_block(),
-            "cells_per_block out of sync with base_grid"
-        );
         let blocks = self.policies.len() * self.models.len();
-        let mut cells = Vec::with_capacity(base.len() * blocks);
-        for _ in 0..blocks {
-            for c in &base {
-                cells.push(Cell {
-                    index: cells.len(),
-                    ..c.clone()
-                });
-            }
-        }
-        cells
+        repeat_blocks(self.base_grid(), self.cells_per_block(), blocks)
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<StrategyRow> {
-        let (choice, dist) = self.block_of(cell);
+        let (policy, spec) = self.block_of(cell);
+        let spec = spec.with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
-        let model = dist.calibrate(cell.pfail, w.dag.mean_weight());
+        let model = spec.build(w.dag.mean_weight());
         let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
-        let policy = choice.instantiate();
         // One segment graph serves the analytic assessment (with its
         // placement census) and the simulation ground truth.
-        let sg = ctx.timed(Stage::Plan, || pipe.segment_graph_policy(policy.as_ref()));
-        let assessment = ctx.timed(Stage::Evaluate, || {
-            pipe.assess_graph(policy.name(), &sg, &PathApprox::default())
-        });
+        let sg = pipe.segment_graph_policy(policy.build().as_ref());
+        let assessment = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -1280,7 +1149,7 @@ impl Scenario for StrategiesScenario {
             max_failures: 10_000,
             ..Default::default()
         };
-        let sim = ctx.timed(Stage::Evaluate, || {
+        let sim = in_stage(StageId::EvalMc, || {
             montecarlo_segments_model(&sg, &model, &cfg)
         });
         vec![StrategyRow {
@@ -1290,7 +1159,7 @@ impl Scenario for StrategiesScenario {
             pfail: cell.pfail,
             ccr: cell.ccr,
             model: model.family_name(),
-            shape: dist.shape(),
+            shape: spec.shape(),
             policy: assessment.policy,
             model_em: assessment.expected_makespan,
             sim_em: sim.mean_makespan,
@@ -1481,14 +1350,12 @@ impl Scenario for DriftScenario {
         let mut rows = Vec::new();
         for (step, (kind, param, delta)) in self.ladder(cell.procs).into_iter().enumerate() {
             session.apply(&delta);
-            let answer = ctx.timed(Stage::Plan, || session.baseline());
+            let answer = session.baseline();
             if self.self_check {
                 // The soundness bar: a fresh session (empty store) on
                 // the drifted inputs must reproduce the incremental
                 // answer bit for bit.
-                let cold = ctx.timed(Stage::Evaluate, || {
-                    Session::new(session.inputs().clone()).baseline()
-                });
+                let cold = Session::new(session.inputs().clone()).baseline();
                 assert_eq!(
                     answer.expected_makespan.to_bits(),
                     cold.expected_makespan.to_bits(),
@@ -1601,8 +1468,12 @@ mod tests {
 
     #[test]
     fn distributions_mini_run_produces_four_rows_per_cell() {
+        let pfail = f64::NAN;
         let s = DistributionsScenario {
-            models: vec![DistModel::Exponential, DistModel::Weibull { shape: 2.0 }],
+            models: vec![
+                ModelSpec::Exponential { pfail },
+                ModelSpec::Weibull { shape: 2.0, pfail },
+            ],
             sizes: vec![50],
             pfails: vec![0.01],
             runs: 20,
@@ -1641,14 +1512,18 @@ mod tests {
 
     #[test]
     fn strategies_mini_run_ranks_the_dp_first() {
+        let pfail = f64::NAN;
         let s = StrategiesScenario {
             policies: vec![
-                PolicyChoice::DpOptimal,
-                PolicyChoice::Daly,
-                PolicyChoice::Risk { max_risk: 0.1 },
-                PolicyChoice::Crossover,
+                PolicySpec::DpOptimal,
+                PolicySpec::Daly { period: None },
+                PolicySpec::Risk { max_risk: 0.1 },
+                PolicySpec::Crossover,
             ],
-            models: vec![DistModel::Exponential, DistModel::Weibull { shape: 2.0 }],
+            models: vec![
+                ModelSpec::Exponential { pfail },
+                ModelSpec::Weibull { shape: 2.0, pfail },
+            ],
             classes: vec![WorkflowClass::Genome],
             sizes: vec![50],
             pfails: vec![0.01],

@@ -8,9 +8,10 @@
 
 use ckpt_bench::engine::{self, EngineConfig, NullSink, Scenario, StringSink};
 use ckpt_bench::scenarios::{
-    DistModel, DistributionsScenario, DriftScenario, FigureScenario, PolicyChoice,
+    DistributionsScenario, DriftScenario, FigureScenario, LinearizationScenario,
     StrategiesScenario, ValidateScenario,
 };
+use ckpt_service::{ModelSpec, PolicySpec};
 use pegasus::WorkflowClass;
 
 fn csv<S: Scenario>(scenario: &S, threads: usize) -> String {
@@ -67,8 +68,12 @@ fn parallel_distributions_grid_is_byte_identical_to_serial() {
     // once per model block; its CSV must hold the engine's byte-identity
     // guarantee for any thread count, including budgets beyond the cell
     // count.
+    let pfail = f64::NAN; // placeholder: each cell re-calibrates
     let scenario = DistributionsScenario {
-        models: vec![DistModel::Exponential, DistModel::Weibull { shape: 0.7 }],
+        models: vec![
+            ModelSpec::Exponential { pfail },
+            ModelSpec::Weibull { shape: 0.7, pfail },
+        ],
         sizes: vec![50],
         pfails: vec![0.001],
         runs: 30,
@@ -89,14 +94,18 @@ fn parallel_strategies_grid_is_byte_identical_to_serial() {
     // (policy, model) block and nests a segment simulation in every
     // cell; its CSV must hold the engine's byte-identity guarantee for
     // any thread count, including budgets beyond the cell count.
+    let pfail = f64::NAN; // placeholder: each cell re-calibrates
     let scenario = StrategiesScenario {
         policies: vec![
-            PolicyChoice::DpOptimal,
-            PolicyChoice::Daly,
-            PolicyChoice::Risk { max_risk: 0.1 },
-            PolicyChoice::Crossover,
+            PolicySpec::DpOptimal,
+            PolicySpec::Daly { period: None },
+            PolicySpec::Risk { max_risk: 0.1 },
+            PolicySpec::Crossover,
         ],
-        models: vec![DistModel::Exponential, DistModel::Weibull { shape: 2.0 }],
+        models: vec![
+            ModelSpec::Exponential { pfail },
+            ModelSpec::Weibull { shape: 2.0, pfail },
+        ],
         classes: vec![WorkflowClass::Genome, WorkflowClass::Montage],
         sizes: vec![50],
         pfails: vec![0.01],
@@ -207,17 +216,32 @@ fn rows_follow_canonical_cell_order() {
     }
 }
 
+fn store_counts<S: Scenario>(scenario: &S) -> engine::CacheStats {
+    let cfg = EngineConfig::with_threads(2);
+    engine::run(scenario, &cfg, &mut NullSink).unwrap().cache
+}
+
 #[test]
-fn workflow_cache_shares_instances_across_the_grid() {
-    let scenario = mini_figures();
-    let report = engine::run(&scenario, &EngineConfig::with_threads(2), &mut NullSink).unwrap();
-    // 1 size × 2 instances distinct workflows for 36 cells × 2 lookups.
-    assert_eq!(report.cache.workflow_misses, 2);
-    assert!(report.cache.workflow_hits >= 70, "{:?}", report.cache);
-    // Schedules: 4 proc counts × 2 instances distinct, reused across
-    // 3 pfails × 3 CCRs.
-    assert_eq!(report.cache.schedule_misses, 8);
-    assert_eq!(report.cache.schedule_hits, 64);
+fn store_generates_once_per_lane_and_schedules_once_per_procs_and_linearizer() {
+    // Figures: 36 cells × 2 instances on 2 lanes (1 size × 2 instances)
+    // and 4 proc counts. Each cell looks each instance up twice (the
+    // rescaled clone, then the schedule key).
+    let c = store_counts(&mini_figures());
+    assert_eq!((c.workflow_misses, c.workflow_hits), (2, 36 * 2 * 2 - 2));
+    assert_eq!(
+        (c.schedule_misses, c.schedule_hits),
+        (4 * 2, 36 * 2 - 4 * 2)
+    );
+    assert_eq!(c.evictions, 0);
+    // E6: 8 cells (2 classes × 2 pfails × 2 CCRs), one lane per class,
+    // three linearizers per cell. The MinVolume key reads the unscaled
+    // instance's file sizes, so it is shared across CCRs too.
+    let c = store_counts(&LinearizationScenario {
+        ccr_points: 2,
+        base_seed: 5,
+    });
+    assert_eq!((c.workflow_misses, c.workflow_hits), (2, 8 * 4 - 2));
+    assert_eq!((c.schedule_misses, c.schedule_hits), (2 * 3, 8 * 3 - 2 * 3));
 }
 
 #[test]

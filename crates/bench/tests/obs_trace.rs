@@ -2,9 +2,10 @@
 //! 10 acceptance bar): running a grid with the span recorder **armed**
 //! must emit the exact same CSV bytes as running it untraced, while
 //! producing a complete, schema-valid span tree — one grid root, one
-//! `cell` span per cell attached under it, engine stage spans nested
-//! inside the cells. Gated on `observe` (a default feature; a
-//! `--no-default-features` build compiles the layer out entirely).
+//! `cell` span per cell attached under it, store resolutions and stage
+//! spans nested inside the cells. Gated on `observe` (a default
+//! feature; a `--no-default-features` build compiles the layer out
+//! entirely).
 
 #![cfg(feature = "observe")]
 
@@ -12,6 +13,7 @@ use std::sync::Mutex;
 
 use ckpt_bench::engine::{self, EngineConfig, Scenario, StringSink};
 use ckpt_bench::scenarios::{DriftScenario, FigureScenario};
+use ckpt_core::StageId;
 use obs::span::SpanRecord;
 use pegasus::WorkflowClass;
 
@@ -64,8 +66,16 @@ fn traced_figure_grid_is_byte_identical_and_fully_spanned() {
         .collect();
     ords.sort_unstable();
     assert_eq!((0..n_cells as u64).collect::<Vec<_>>(), ords);
-    // Engine stage spans nest inside cells, and every line is wire-valid.
-    assert!(spans.iter().any(|s| s.name == "engine.generate"));
+    // The lane's workflow and schedule lookups are store resolutions
+    // under the cells (a session's `resolve.*` spans), the stage work
+    // is `stage.*` spans, and every line is wire-valid.
+    let cell_ids: Vec<u64> = cells.iter().map(|c| c.id).collect();
+    let in_cells = |s: &&SpanRecord| s.parent.is_some_and(|p| cell_ids.contains(&p));
+    let names: Vec<&str> = spans.iter().filter(in_cells).map(|s| s.name).collect();
+    for name in ["resolve.generate", "resolve.schedule", "stage.placement"] {
+        assert!(names.contains(&name), "no `{name}` span under a cell");
+    }
+    assert!(spans.iter().all(|s| !s.name.starts_with("engine.")));
     for span in &spans {
         let line = obs::jsonl::to_line(span);
         obs::jsonl::validate_line(&line)
@@ -106,4 +116,21 @@ fn repeated_traced_runs_produce_the_same_canonical_tree() {
         obs::jsonl::canonicalize(&second),
         "canonical engine trace diverged across thread budgets"
     );
+}
+
+#[test]
+fn grid_runs_move_the_stage_wall_histogram_for_each_stage_they_ran() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let hist = |s: StageId| {
+        obs::metrics::labeled_histogram_seconds("ckpt_stage_wall_seconds", "stage", s.name())
+    };
+    // The figure grid runs every stage but Monte Carlo (the last).
+    let ran = &StageId::ALL[..6];
+    let before: Vec<u64> = ran.iter().map(|&s| hist(s).count()).collect();
+    csv(&mini_figures(), 2);
+    for (&s, before) in ran.iter().zip(before) {
+        assert!(hist(s).count() > before, "{s} left no wall sample");
+    }
+    let text = obs::metrics::exposition();
+    assert!(text.contains("ckpt_stage_wall_seconds_count{stage=\"segment_graph\"}"));
 }

@@ -2,6 +2,8 @@
 //! makespan, for all strategies of the paper — and, since the policy
 //! subsystem, for any [`CheckpointPolicy`].
 
+use std::sync::Arc;
+
 use mspg::Workflow;
 use probdag::Evaluator;
 
@@ -127,8 +129,9 @@ pub struct Pipeline<'a> {
     pub workflow: &'a Workflow,
     /// The platform (processor count, failure rate, storage bandwidth).
     pub platform: Platform,
-    /// The superchain schedule produced by `Allocate`.
-    pub schedule: Schedule,
+    /// The superchain schedule produced by `Allocate`, shared: the grid
+    /// engine hands every cell's pipeline the store's copy.
+    pub schedule: Arc<Schedule>,
     /// Cached renewal curve for non-memoryless platforms, built once per
     /// pipeline over the workflow's span range and threaded through
     /// every [`CostCtx`] this pipeline hands out (`None` for exponential
@@ -143,15 +146,11 @@ pub struct Pipeline<'a> {
 impl<'a> Pipeline<'a> {
     /// Schedules `workflow` on `platform` with `Allocate`.
     pub fn new(workflow: &'a Workflow, platform: Platform, cfg: &AllocateConfig) -> Self {
-        let schedule = allocate(workflow, platform.n_procs, cfg);
-        Pipeline {
+        Self::with_schedule(
             workflow,
             platform,
-            schedule,
-            curve: stage::curve_stage(&workflow.dag, &platform)
-                .expect("Pipeline inputs are valid by construction"),
-            plan_threads: 1,
-        }
+            allocate(workflow, platform.n_procs, cfg),
+        )
     }
 
     /// Builds a pipeline around a schedule computed elsewhere.
@@ -160,13 +159,20 @@ impl<'a> Pipeline<'a> {
     /// structure-driven linearizers (`Structural`, `RandomTopo`) it does
     /// not read file sizes at all — so a schedule computed once per
     /// workflow instance can be re-used across every CCR rescaling of that
-    /// instance (the experiment engine's schedule cache relies on this).
+    /// instance (the experiment engine relies on this: it schedules the
+    /// unscaled instance once per run and shares that schedule, by
+    /// `Arc`, with every cell's pipeline).
     ///
     /// # Panics
     /// Panics if `schedule` does not cover `workflow` on
     /// `platform.n_procs` processors (e.g. it was computed for a different
     /// instance or processor count).
-    pub fn with_schedule(workflow: &'a Workflow, platform: Platform, schedule: Schedule) -> Self {
+    pub fn with_schedule(
+        workflow: &'a Workflow,
+        platform: Platform,
+        schedule: impl Into<Arc<Schedule>>,
+    ) -> Self {
+        let schedule = schedule.into();
         assert_eq!(
             schedule.n_procs, platform.n_procs,
             "schedule was computed for a different processor count"

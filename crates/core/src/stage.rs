@@ -33,6 +33,8 @@
 //! (discrete-event simulation lives in `failsim`, downstream). The
 //! service invokes those crates directly under the same stage ids.
 
+use std::sync::OnceLock;
+
 use mspg::{Dag, Workflow};
 use probdag::Evaluator;
 
@@ -148,22 +150,53 @@ pub fn inject(stage: StageId) -> PlanResult<()> {
     })
 }
 
-/// Run `f` inside an execution span named [`StageId::site`], marking
-/// the span failed if `f` errors. This is the one wrapper every stage
-/// execution goes through — the in-crate stage functions below use it,
-/// and the service reuses it for the two stages whose functions live
-/// outside this crate (`Generate` in `pegasus`, `EvalMc` in `failsim`).
+/// Run `f` as one execution of `stage`: inside a span named
+/// [`StageId::site`], marked failed if `f` errors, whose measured
+/// nanoseconds also go to the `ckpt_stage_wall_seconds{stage=<name>}`
+/// histogram — one clock reading feeds both. This is the one stage
+/// timer: the in-crate stage functions below use it, the service
+/// reuses it for the two stages whose functions live outside this
+/// crate (`Generate` in `pegasus`, `EvalMc` in `failsim`), and the
+/// grid engine runs its Monte Carlo and CCR rescaling under it.
 ///
 /// Observability contract: the span layer only *observes* `f` — it
 /// never alters the value flowing out, and without the `observe`
 /// feature this compiles to a plain call of `f`.
 pub fn traced<T>(stage: StageId, f: impl FnOnce() -> PlanResult<T>) -> PlanResult<T> {
-    let mut span = obs::span::enter(stage.site());
-    let out = f();
-    if out.is_err() {
-        span.set_outcome(obs::span::SpanOutcome::Failed);
-    }
+    let parent = obs::span::Parent::Current;
+    let (out, nanos) = obs::span::timed_full(stage.site(), None, None, parent, |span| {
+        let out = f();
+        if out.is_err() {
+            span.set_outcome(obs::span::SpanOutcome::Failed);
+        }
+        out
+    });
+    wall_histogram(stage).observe_ns(nanos);
     out
+}
+
+/// The `ckpt_stage_wall_seconds` histogram of `stage`, resolved once
+/// per process so [`traced`] never takes the registry lock.
+fn wall_histogram(stage: StageId) -> &'static obs::metrics::Histogram {
+    static HISTS: OnceLock<[obs::metrics::Histogram; 7]> = OnceLock::new();
+    let hists = HISTS.get_or_init(|| {
+        StageId::ALL.map(|s| {
+            obs::metrics::labeled_histogram_seconds("ckpt_stage_wall_seconds", "stage", s.name())
+        })
+    });
+    &hists[stage as usize]
+}
+
+/// One-line summary of the `ckpt_stage_wall_seconds` histogram: the
+/// seconds this process has spent in each stage, summed across threads
+/// (worker-seconds; zero without the `observe` feature), e.g.
+/// `generate 0.42s | schedule 0.10s | …`.
+pub fn wall_summary() -> String {
+    StageId::ALL
+        .iter()
+        .map(|&s| format!("{} {:.2}s", s.name(), wall_histogram(s).sum()))
+        .collect::<Vec<_>>()
+        .join(" | ")
 }
 
 /// **Schedule stage**: Algorithm 1 on `workflow` for `n_procs`

@@ -204,22 +204,26 @@ fn parse_flat(line: &str) -> Result<BTreeMap<String, Flat>, String> {
     Ok(out)
 }
 
-const FIELDS: [&str; 9] = [
-    "id", "parent", "name", "key", "ord", "outcome", "attempts", "start_ns", "dur_ns",
-];
+/// Span fields that always hold a value the span set.
+const REQUIRED: [&str; 4] = ["id", "name", "start_ns", "dur_ns"];
+
+/// Span fields a line carries at their unset value (`null`, `ok`, `0`)
+/// unless the span set them. With [`REQUIRED`], the whole schema —
+/// DESIGN.md §12 lists both groups.
+const OPTIONAL: [&str; 5] = ["parent", "key", "ord", "outcome", "attempts"];
 
 /// Validate one JSONL line against the span schema.
 pub fn validate_line(line: &str) -> Result<(), String> {
     let obj = parse_flat(line)?;
-    for field in FIELDS {
-        if !obj.contains_key(field) {
+    for field in REQUIRED.iter().chain(&OPTIONAL) {
+        if !obj.contains_key(*field) {
             return Err(format!("missing field `{field}`"));
         }
     }
-    if obj.len() != FIELDS.len() {
+    if obj.len() != REQUIRED.len() + OPTIONAL.len() {
         let extra: Vec<_> = obj
             .keys()
-            .filter(|k| !FIELDS.contains(&k.as_str()))
+            .filter(|k| !REQUIRED.contains(&k.as_str()) && !OPTIONAL.contains(&k.as_str()))
             .cloned()
             .collect();
         return Err(format!("unknown fields: {extra:?}"));
@@ -367,6 +371,25 @@ pub fn canonicalize(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn design_doc_lists_the_wire_fields() {
+        let design = include_str!("../../../DESIGN.md");
+        let s12 = &design[design.find("## §12").expect("DESIGN.md has a §12")..];
+        let text = s12.split_whitespace().collect::<Vec<_>>().join(" ");
+        let listed = |group: &str| {
+            let open = format!("{group} `");
+            let at = text
+                .find(&open)
+                .unwrap_or_else(|| panic!("§12 lists no {group} fields"));
+            let list = &text[at + open.len()..];
+            list[..list.find('`').unwrap()]
+                .split('/')
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(REQUIRED.to_vec(), listed("required"));
+        assert_eq!(OPTIONAL.to_vec(), listed("optional"));
+    }
 
     fn rec(id: u64, parent: Option<u64>, name: &'static str) -> SpanRecord {
         SpanRecord {

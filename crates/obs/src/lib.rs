@@ -11,9 +11,9 @@
 //!    schema-validated JSONL ([`jsonl`]).
 //! 2. [`metrics`] — counters/gauges/histograms with Prometheus-style
 //!    text exposition and a JSON snapshot for `BENCH_hotpath.json`.
-//! 3. Profiling — `ckpt_bench`'s stage walls and per-cell timings are
-//!    derived from [`span::timed`]'s returned nanoseconds, so traces
-//!    and profiles can never disagree.
+//! 3. Profiling — the per-stage wall histogram and the engine's
+//!    per-cell timings are derived from [`span::timed_full`]'s returned
+//!    nanoseconds, so traces and profiles can never disagree.
 //!
 //! The non-negotiable contract: **observability never perturbs
 //! results**. No span or metric ever feeds back into a computed

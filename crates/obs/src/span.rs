@@ -17,10 +17,10 @@
 //! * **Compiles out.** Without the `enabled` cargo feature every entry
 //!   point here is an `#[inline(always)]` no-op stub, same discipline
 //!   as `seedmix::faultinject`.
-//! * **One clock.** [`timed`] is the single timing primitive; the
-//!   engine's stage walls and per-cell timings are derived from the
-//!   nanosecond value it returns, so profiling and tracing can never
-//!   disagree.
+//! * **One clock.** [`timed_full`] is the single timing primitive; the
+//!   stage-wall histogram (`ckpt_core::stage::traced`) and the engine's
+//!   per-cell timings are derived from the nanosecond value it returns,
+//!   so profiling and tracing can never disagree.
 //!
 //! [`SpanRecord`] itself (and the JSONL/canonicalizer helpers in
 //! [`crate::jsonl`]) compile unconditionally: they are pure data and
@@ -226,14 +226,6 @@ mod live {
             }
         }
 
-        /// Set the fingerprint key after open (e.g. once computed).
-        #[inline]
-        pub fn set_key(&mut self, key: u64) {
-            if let Some(o) = self.inner.as_mut() {
-                o.key = Some(key);
-            }
-        }
-
         /// Pin the recorded duration to an externally measured value,
         /// so [`super::timed`] callers see the exact nanoseconds that
         /// land in the trace.
@@ -300,20 +292,21 @@ mod live {
         }
     }
 
-    /// Run `f` inside a span and return `(result, nanoseconds)`. The
-    /// nanoseconds are measured even when the recorder is unarmed, so
-    /// profiling consumers (stage walls, per-cell timings) always see
-    /// real durations while the feature is compiled in.
+    /// Run `f` inside a span and return `(result, nanoseconds)`. `f`
+    /// gets the span's guard (to set its outcome). The nanoseconds are
+    /// measured even when the recorder is unarmed, so profiling
+    /// consumers (stage walls, per-cell timings) always see real
+    /// durations while the feature is compiled in.
     pub fn timed_full<T>(
         name: &'static str,
         key: Option<u64>,
         ord: Option<u64>,
         parent: Parent,
-        f: impl FnOnce() -> T,
+        f: impl FnOnce(&mut SpanGuard) -> T,
     ) -> (T, u64) {
         let mut guard = open(name, key, ord, parent);
         let t0 = Instant::now();
-        let out = f();
+        let out = f(&mut guard);
         let nanos = t0.elapsed().as_nanos() as u64;
         guard.set_duration_ns(nanos);
         (out, nanos)
@@ -345,8 +338,6 @@ mod stub {
         pub fn set_outcome(&mut self, _outcome: SpanOutcome) {}
         #[inline(always)]
         pub fn set_attempts(&mut self, _attempts: u32) {}
-        #[inline(always)]
-        pub fn set_key(&mut self, _key: u64) {}
         #[inline(always)]
         pub fn set_duration_ns(&mut self, _nanos: u64) {}
     }
@@ -380,9 +371,9 @@ mod stub {
         _key: Option<u64>,
         _ord: Option<u64>,
         _parent: Parent,
-        f: impl FnOnce() -> T,
+        f: impl FnOnce(&mut SpanGuard) -> T,
     ) -> (T, u64) {
-        (f(), 0)
+        (f(&mut SpanGuard { _priv: () }), 0)
     }
 }
 
@@ -417,7 +408,7 @@ pub fn enter_root_ord(name: &'static str, ord: u64) -> SpanGuard {
 /// Time `f` in a span under the current span; returns `(result, ns)`.
 #[inline(always)]
 pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, u64) {
-    timed_full(name, None, None, Parent::Current, f)
+    timed_full(name, None, None, Parent::Current, |_| f())
 }
 
 #[cfg(all(test, feature = "enabled"))]
@@ -483,7 +474,7 @@ mod live_tests {
         {
             let outer = enter("cell");
             let outer_id = outer.id().unwrap();
-            let (_, ns) = timed_full("query", None, Some(0), Parent::Root, || ());
+            let (_, ns) = timed_full("query", None, Some(0), Parent::Root, |_| ());
             let _ = ns;
             let _under = open("mc.reduce", None, None, Parent::Under(outer_id));
         }

@@ -50,7 +50,8 @@ pub mod tracker;
 
 pub use ckpt_core::{Budget, ErrorKind, PlanError, PlanResult};
 pub use session::{
-    Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
+    generate_keyed, schedule_keyed, Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec,
+    Session, WhatIf, WorkflowSource,
 };
 pub use store::{Memo, MemoStats, Resolution, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS};
 pub use tracker::{Event, Outcome, Tracker};

@@ -63,7 +63,9 @@ use ckpt_core::stage::{
     curve_stage, evaluate_stage, inject, placement_stage, schedule_stage, segment_graph_stage,
     traced, StageId,
 };
-use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
+use ckpt_core::{
+    AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform, Schedule,
+};
 use failsim::{montecarlo_segments_model, montecarlo_segments_model_abortable, McStats, SimConfig};
 use mspg::TaskId;
 use pegasus::WorkflowClass;
@@ -71,7 +73,7 @@ use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
 use seedmix::digest::Fnv1a;
 use seedmix::parallel_slots;
 
-use crate::store::{Memo, Resolution, Store, WorkflowArtifact};
+use crate::store::{Memo, Store, WorkflowArtifact};
 use crate::tracker::{Outcome, Tracker};
 use obs::span::SpanOutcome;
 
@@ -126,6 +128,57 @@ fn class_tag(c: WorkflowClass) -> u64 {
         WorkflowClass::Ligo => 2,
         WorkflowClass::Cybershake => 3,
     }
+}
+
+/// The Generate stage of a generated workflow: its store key and the
+/// computation the key names (generation, then rescaling to `ccr` at
+/// `bandwidth` if given). [`Session`] and the grid engine both resolve
+/// generated workflows through this, so they share one key scheme.
+pub fn generate_keyed(
+    class: WorkflowClass,
+    size: usize,
+    seed: u64,
+    ccr: Option<f64>,
+    bandwidth: f64,
+) -> (u64, impl Fn() -> PlanResult<WorkflowArtifact>) {
+    let mut h = Fnv1a::tagged(tag::GENERATE);
+    h.write_word(class_tag(class))
+        .write_usize(size)
+        .write_word(seed);
+    match ccr {
+        None => h.write_word(0),
+        // CCR rescaling reads the bandwidth, so it keys in.
+        Some(c) => h.write_word(1).write_f64(c).write_f64(bandwidth),
+    };
+    let generate = move || {
+        traced(StageId::Generate, || {
+            inject(StageId::Generate)?;
+            let mut workflow = pegasus::generate(class, size, seed);
+            if let Some(c) = ccr {
+                pegasus::ccr::scale_to_ccr(&mut workflow, c, bandwidth);
+            }
+            Ok(WorkflowArtifact::new(workflow))
+        })
+    };
+    (h.finish(), generate)
+}
+
+/// The Schedule stage of `wa` on `procs` processors under `alloc`: its
+/// store key and the computation the key names. The key never reads the
+/// failure model, and reads file sizes only through the MinVolume
+/// linearizer. Shared by [`Session`] and the grid engine, like
+/// [`generate_keyed`].
+pub fn schedule_keyed(
+    wa: &WorkflowArtifact,
+    procs: usize,
+    alloc: AllocateConfig,
+) -> (u64, impl Fn() -> PlanResult<Schedule> + '_) {
+    let mut parts = vec![wa.fp.structure, procs as u64, allocate_config_fp(&alloc)];
+    if linearizer_reads_file_sizes(alloc.linearizer) {
+        parts.push(wa.fp.file_sizes);
+    }
+    let key = compose(tag::SCHEDULE, &parts);
+    (key, move || schedule_stage(&wa.workflow, procs, &alloc))
 }
 
 /// A calibrated failure-model specification. Unlike a raw
@@ -185,6 +238,18 @@ impl ModelSpec {
             ModelSpec::Raw(_) => ModelSpec::Exponential { pfail },
         }
     }
+
+    /// The family's shape knob: 1 for the exponential, `k` for Weibull,
+    /// `σ` for LogNormal (the E9/E10 CSV `shape` column).
+    pub fn shape(&self) -> f64 {
+        match *self {
+            ModelSpec::Exponential { .. } | ModelSpec::Raw(FailureModel::Exponential { .. }) => 1.0,
+            ModelSpec::Weibull { shape, .. }
+            | ModelSpec::Raw(FailureModel::Weibull { shape, .. }) => shape,
+            ModelSpec::LogNormal { sigma, .. }
+            | ModelSpec::Raw(FailureModel::LogNormal { sigma, .. }) => sigma,
+        }
+    }
 }
 
 /// A checkpoint-placement policy specification: a digestible, cloneable
@@ -225,9 +290,18 @@ impl PolicySpec {
         }
     }
 
-    /// Display name (the built policy's).
+    /// Display name of the policy [`PolicySpec::build`] makes, without
+    /// building (boxing) it. Knob values are not part of the name, so a
+    /// grid listing two `Risk` points emits rows it cannot tell apart.
     pub fn name(&self) -> &'static str {
-        self.build().name()
+        match *self {
+            PolicySpec::CkptAll => CkptAllPolicy.name(),
+            PolicySpec::DpOptimal => DpOptimalPolicy.name(),
+            PolicySpec::ExitOnly => ExitOnlyPolicy.name(),
+            PolicySpec::Daly { period } => DalyPeriodic { period }.name(),
+            PolicySpec::Risk { max_risk } => RiskThreshold { max_risk }.name(),
+            PolicySpec::Crossover => GreedyCrossover.name(),
+        }
     }
 
     /// Content fingerprint (variant + parameters).
@@ -654,21 +728,13 @@ impl Session {
         let mfp = model_fp(&model);
         let bw_bits = inputs.bandwidth.to_bits();
 
-        // Schedule: never reads the failure model; reads file sizes
-        // only through the MinVolume linearizer.
-        let mut sched_parts = vec![
-            fp.structure,
-            inputs.procs as u64,
-            allocate_config_fp(&inputs.alloc),
-        ];
-        if linearizer_reads_file_sizes(inputs.alloc.linearizer) {
-            sched_parts.push(fp.file_sizes);
-        }
-        let sched_key = compose(tag::SCHEDULE, &sched_parts);
-        let schedule =
-            self.memo_stage(StageId::Schedule, &self.store.schedules, sched_key, || {
-                schedule_stage(w, inputs.procs, &inputs.alloc)
-            })?;
+        let (sched_key, schedule) = schedule_keyed(&wa, inputs.procs, inputs.alloc);
+        let schedule = self.memo_stage(
+            StageId::Schedule,
+            &self.store.schedules,
+            sched_key,
+            schedule,
+        )?;
 
         // Curve: model + span statistics (weights, sizes, bandwidth).
         let curve_key = compose(tag::CURVE, &[mfp, fp.structure, fp.file_sizes, bw_bits]);
@@ -798,39 +864,15 @@ impl Session {
                 seed,
                 ccr,
             } => {
-                let mut h = Fnv1a::tagged(tag::GENERATE);
-                h.write_word(class_tag(*class))
-                    .write_usize(*size)
-                    .write_word(*seed);
-                match ccr {
-                    None => h.write_word(0),
-                    // CCR rescaling reads the bandwidth, so it keys in.
-                    Some(c) => h.write_word(1).write_f64(*c).write_f64(inputs.bandwidth),
-                };
-                let key = h.finish();
-                self.memo_stage(StageId::Generate, &self.store.workflows, key, || {
-                    traced(StageId::Generate, || {
-                        inject(StageId::Generate)?;
-                        let mut workflow = pegasus::generate(*class, *size, *seed);
-                        if let Some(c) = ccr {
-                            pegasus::ccr::scale_to_ccr(&mut workflow, *c, inputs.bandwidth);
-                        }
-                        Ok(WorkflowArtifact::new(workflow))
-                    })
-                })
+                let (key, generate) = generate_keyed(*class, *size, *seed, *ccr, inputs.bandwidth);
+                self.memo_stage(StageId::Generate, &self.store.workflows, key, generate)
             }
         }
     }
 
-    /// Memoized stage resolution with tracker recording: the closure
-    /// runs iff the store lacks the artifact (possibly more than once —
-    /// the memo retries transient failures, see
-    /// [`crate::store::MAX_ATTEMPTS`]). Each resolution records exactly
-    /// one event — `Executed`, `Cached`, or `Failed` with its attempt
-    /// count and error kind — and one `"resolve.<stage>"` span carrying
-    /// the fingerprint key, the same outcome, and this caller's attempt
-    /// count. Stage-execution spans (from `ckpt_core::stage::traced`
-    /// inside `f`) nest under the resolution span.
+    /// [`Memo::resolve`] with tracker recording: each resolution
+    /// records exactly one event, the same outcome its
+    /// `"resolve.<stage>"` span carries.
     fn memo_stage<V: Send + Sync>(
         &self,
         stage: StageId,
@@ -838,26 +880,67 @@ impl Session {
         key: u64,
         f: impl Fn() -> PlanResult<V>,
     ) -> PlanResult<Arc<V>> {
-        let mut span = obs::span::enter_key(stage.resolve_site(), key);
-        let mut how = Resolution::default();
-        let res = memo.get_or_try_compute_with(key, stage, f, &mut how);
-        let outcome = match &res {
-            // `e.attempts()` is the memo layer's total across takeovers
-            // (what the error surfaced), not just this caller's runs.
-            Err(e) => Outcome::Failed {
-                attempts: e.attempts(),
-                kind: e.kind(),
-            },
-            Ok(_) if how.computed => Outcome::Executed,
-            Ok(_) => Outcome::Cached,
-        };
+        let (res, outcome) = memo.resolve(stage, key, f);
         self.tracker.record(stage, outcome);
-        span.set_attempts(how.attempts);
-        span.set_outcome(match outcome {
-            Outcome::Executed => SpanOutcome::Executed,
-            Outcome::Cached => SpanOutcome::Cached,
-            Outcome::Failed { .. } => SpanOutcome::Failed,
-        });
         res
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_names_match_the_built_policies() {
+        for spec in [
+            PolicySpec::CkptAll,
+            PolicySpec::DpOptimal,
+            PolicySpec::ExitOnly,
+            PolicySpec::Daly { period: None },
+            PolicySpec::Daly { period: Some(60.0) },
+            PolicySpec::Risk { max_risk: 0.1 },
+            PolicySpec::Crossover,
+        ] {
+            assert_eq!(spec.build().name(), spec.name(), "{spec:?}");
+        }
+    }
+
+    /// The grid engine resolves a lane's unscaled workflow and schedule
+    /// through [`generate_keyed`] / [`schedule_keyed`] on its own store;
+    /// a session over that store finds both artifacts under its keys.
+    #[test]
+    fn engine_style_lookups_share_the_session_key_scheme() {
+        let store = Arc::new(Store::new());
+        let (class, size, seed, procs, bandwidth) = (WorkflowClass::Montage, 50, 7, 5, 1e8);
+        let (key, generate) = generate_keyed(class, size, seed, None, bandwidth);
+        let (wa, outcome) = store.workflows.resolve(StageId::Generate, key, generate);
+        assert_eq!(Outcome::Executed, outcome);
+        let alloc = AllocateConfig {
+            seed,
+            ..AllocateConfig::default()
+        };
+        let wa = wa.unwrap();
+        let (key, schedule) = schedule_keyed(&wa, procs, alloc);
+        let (_, outcome) = store.schedules.resolve(StageId::Schedule, key, schedule);
+        assert_eq!(Outcome::Executed, outcome);
+
+        let source = WorkflowSource::Generated {
+            class,
+            size,
+            seed,
+            ccr: None,
+        };
+        let mut inputs = Inputs::basic(
+            source,
+            procs,
+            bandwidth,
+            ModelSpec::Exponential { pfail: 1e-3 },
+        );
+        inputs.alloc = alloc;
+        let session = Session::with_store(inputs, store);
+        session.baseline();
+        let cached = session.tracker().cached();
+        assert!(cached.contains(&StageId::Generate), "{cached:?}");
+        assert!(cached.contains(&StageId::Schedule), "{cached:?}");
     }
 }

@@ -56,6 +56,9 @@ use std::time::Duration;
 
 use ckpt_core::budget::Cancelled;
 use ckpt_core::{PlanError, PlanResult, StageId};
+use obs::span::SpanOutcome;
+
+use crate::tracker::Outcome;
 
 /// Total compute failures (panics or injected stage errors) tolerated
 /// per slot before it turns terminally [`SlotState::Failed`]. Three
@@ -446,8 +449,41 @@ impl<V> Memo<V> {
         }
     }
 
+    /// One memoized resolution of `stage`'s artifact under `key`, as
+    /// `Session` and the grid engine both perform it: [`Memo::get_or_try_compute`]
+    /// inside one `"resolve.<stage>"` span carrying the key, the outcome
+    /// and this caller's attempt count (stage spans from `f` nest under
+    /// it). Returns the caller's [`Outcome`] for a [`crate::Tracker`].
+    pub fn resolve(
+        &self,
+        stage: StageId,
+        key: u64,
+        f: impl Fn() -> PlanResult<V>,
+    ) -> (PlanResult<Arc<V>>, Outcome) {
+        let mut span = obs::span::enter_key(stage.resolve_site(), key);
+        let mut how = Resolution::default();
+        let res = self.get_or_try_compute_with(key, stage, f, &mut how);
+        let outcome = match &res {
+            // `e.attempts()` is the memo layer's total across takeovers
+            // (what the error surfaced), not just this caller's runs.
+            Err(e) => Outcome::Failed {
+                attempts: e.attempts(),
+                kind: e.kind(),
+            },
+            Ok(_) if how.computed => Outcome::Executed,
+            Ok(_) => Outcome::Cached,
+        };
+        span.set_attempts(how.attempts);
+        span.set_outcome(match outcome {
+            Outcome::Executed => SpanOutcome::Executed,
+            Outcome::Cached => SpanOutcome::Cached,
+            Outcome::Failed { .. } => SpanOutcome::Failed,
+        });
+        (res, outcome)
+    }
+
     /// Infallible-closure convenience over [`Memo::get_or_try_compute`]
-    /// (the offline callers: bench caches, statistics memos).
+    /// (the offline callers: statistics memos).
     ///
     /// # Panics
     /// Re-raises a terminal failure as a panic — for a closure that
