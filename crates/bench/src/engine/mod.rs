@@ -195,8 +195,9 @@ impl CellCtx<'_> {
         };
         let (key, schedule) = schedule_keyed(&wa, cell.procs, alloc);
         let schedules = &self.store.schedules;
-        let (schedule, _) = schedules.resolve(StageId::Schedule, key, schedule);
-        schedule.expect("grid inputs are valid by construction")
+        let (artifact, _) = schedules.resolve(StageId::Schedule, key, schedule);
+        let artifact = artifact.expect("grid inputs are valid by construction");
+        artifact.schedule.clone()
     }
 
     /// The evaluation pipeline of the rescaled instance `w` (a clone

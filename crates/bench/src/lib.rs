@@ -258,10 +258,8 @@ impl Args {
 
 /// Observability outputs for a harness binary, parsed from
 /// `--trace-out FILE` (schema-validated JSONL span dump) and
-/// `--metrics-out FILE` (Prometheus text exposition, or the
-/// machine-readable JSON snapshot when FILE ends in `.json` — the form
-/// the `obs` section of BENCH_hotpath.json is regenerated from). Every
-/// binary accepts both; construct this **before** the run (it arms the
+/// `--metrics-out FILE` (Prometheus text exposition). Every binary
+/// accepts both; construct this **before** the run (it arms the
 /// span recorder and zeroes the metrics registry) and call
 /// [`ObsOut::finish`] after.
 pub struct ObsOut {
@@ -323,12 +321,7 @@ impl ObsOut {
                     std::fs::create_dir_all(dir)?;
                 }
             }
-            let text = if out.ends_with(".json") {
-                obs::metrics::snapshot_json()
-            } else {
-                obs::metrics::exposition()
-            };
-            std::fs::write(path, text)?;
+            std::fs::write(path, obs::metrics::exposition())?;
             eprintln!("metrics -> {}", path.display());
         }
         Ok(())

@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use ckpt_core::{allocate, AllocateConfig, Schedule, StageId, Strategy};
+use ckpt_core::stage::schedule_stage;
+use ckpt_core::{AllocateConfig, Schedule, StageId, Strategy};
 use ckpt_service::{ModelSpec, PolicySpec};
 use failsim::{
     montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
@@ -637,8 +638,9 @@ impl LigoFootnoteScenario {
             linearizer: Linearizer::RandomTopo,
             seed: wf_seed,
         };
-        let mainline_schedule = Arc::new(allocate(&mainline, LIGO_FOOTNOTE_PROCS, &cfg));
-        let patched_schedule = Arc::new(allocate(&patched, LIGO_FOOTNOTE_PROCS, &cfg));
+        let schedule = |w| schedule_stage(w, LIGO_FOOTNOTE_PROCS, &cfg).expect("valid E8 inputs");
+        let mainline_schedule = Arc::new(schedule(&mainline));
+        let patched_schedule = Arc::new(schedule(&patched));
         LigoFootnoteScenario {
             ccr_points,
             base_seed,

@@ -125,13 +125,6 @@ impl<'a> CostCtx<'a> {
         }
     }
 
-    /// The same context with a cancellation budget attached (builder
-    /// style, for the serving layer).
-    pub fn with_budget(mut self, budget: Option<&'a Budget>) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Cooperative cancellation point for the DP hot loops: no-op
     /// without a budget, unwinds with [`crate::budget::Cancelled`] when
     /// the attached budget is exhausted.
@@ -667,22 +660,6 @@ fn grow<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     if v.len() < n {
         v.resize(n, fill);
     }
-}
-
-/// The naive coalescing of §II-C (ablation E7): checkpoint only at the end
-/// of the superchain (the extended semantics then saves every exit file).
-pub fn exit_only(chain: &[TaskId]) -> Vec<bool> {
-    let mut v = vec![false; chain.len()];
-    if let Some(lastpos) = v.last_mut() {
-        *lastpos = true;
-    }
-    v
-}
-
-/// Checkpoint after every task (the CkptAll baseline restricted to this
-/// superchain).
-pub fn all_tasks(chain: &[TaskId]) -> Vec<bool> {
-    vec![true; chain.len()]
 }
 
 /// Reusable buffers for the checkpoint DP ([`optimal_checkpoints_reusing`]):

@@ -76,11 +76,6 @@ impl SegmentGraph {
         self.segments.iter().map(|s| s.cost.c).sum()
     }
 
-    /// Total stable-storage read time across segments (failure-free).
-    pub fn total_read_time(&self) -> f64 {
-        self.segments.iter().map(|s| s.cost.r).sum()
-    }
-
     /// Placement statistics of this graph: segment count plus the
     /// checkpointed-file census (a file counts when its producing
     /// segment has a consumer outside itself — the same "needed later"

@@ -4,12 +4,13 @@
 
 use std::sync::Arc;
 
-use mspg::Workflow;
+use mspg::{Dag, Workflow};
 use probdag::Evaluator;
 
-use crate::allocate::{allocate, AllocateConfig};
+use crate::allocate::AllocateConfig;
 use crate::checkpoint_dp::CostCtx;
 use crate::coalesce::{CheckpointPlan, SegmentGraph};
+use crate::error::PlanResult;
 use crate::failure_model::{FailureModel, RestartCurve};
 use crate::platform::Platform;
 use crate::policy::{
@@ -118,6 +119,30 @@ pub struct Assessment {
     pub w_par: f64,
 }
 
+/// The analytic assessment of `policy`'s segment graph `sg` over `dag`'s
+/// tasks: the expected makespan under `evaluator` (the analytic-evaluate
+/// stage), with the placement census derived from `sg` and the
+/// schedule's failure-free parallel time `w_par` alongside. The one
+/// assembly both [`Pipeline`] and the what-if service answer from.
+pub fn assessment(
+    policy: &'static str,
+    sg: &SegmentGraph,
+    dag: &Dag,
+    w_par: f64,
+    evaluator: &dyn Evaluator,
+) -> PlanResult<Assessment> {
+    let stats = sg.placement_stats(dag);
+    Ok(Assessment {
+        policy,
+        expected_makespan: stage::evaluate_stage(sg, evaluator)?,
+        n_checkpoints: stats.segments,
+        n_segments: stats.segments,
+        ckpt_files: stats.ckpt_files,
+        ckpt_bytes: stats.ckpt_bytes,
+        w_par,
+    })
+}
+
 /// A scheduled workflow ready for strategy assessment.
 ///
 /// Scheduling (the expensive, strategy-independent step) happens once in
@@ -144,13 +169,12 @@ pub struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    /// Schedules `workflow` on `platform` with `Allocate`.
+    /// Schedules `workflow` on `platform` with `Allocate` (the Schedule
+    /// stage).
     pub fn new(workflow: &'a Workflow, platform: Platform, cfg: &AllocateConfig) -> Self {
-        Self::with_schedule(
-            workflow,
-            platform,
-            allocate(workflow, platform.n_procs, cfg),
-        )
+        let schedule = stage::schedule_stage(workflow, platform.n_procs, cfg)
+            .expect("Pipeline inputs are valid by construction");
+        Self::with_schedule(workflow, platform, schedule)
     }
 
     /// Builds a pipeline around a schedule computed elsewhere.
@@ -286,20 +310,10 @@ impl<'a> Pipeline<'a> {
                     w_par,
                 }
             }
-            Some(policy) => self.assess_policy(policy, evaluator),
+            Some(policy) => {
+                self.assess_graph(policy.name(), &self.segment_graph_policy(policy), evaluator)
+            }
         }
-    }
-
-    /// Assesses a placement policy: plan → coalesce → evaluate, with
-    /// all placement statistics derived from the segment graph in one
-    /// place.
-    pub fn assess_policy(
-        &self,
-        policy: &dyn CheckpointPolicy,
-        evaluator: &dyn Evaluator,
-    ) -> Assessment {
-        let sg = self.segment_graph_policy(policy);
-        self.assess_graph(policy.name(), &sg, evaluator)
     }
 
     /// Assessment of an already-built segment graph — the shared path
@@ -311,24 +325,17 @@ impl<'a> Pipeline<'a> {
         sg: &SegmentGraph,
         evaluator: &dyn Evaluator,
     ) -> Assessment {
-        let w_par = self.schedule.failure_free_parallel_time(&self.workflow.dag);
-        let stats = sg.placement_stats(&self.workflow.dag);
-        Assessment {
-            policy,
-            expected_makespan: stage::evaluate_stage(sg, evaluator)
-                .expect("Pipeline inputs are valid by construction"),
-            n_checkpoints: stats.segments,
-            n_segments: stats.segments,
-            ckpt_files: stats.ckpt_files,
-            ckpt_bytes: stats.ckpt_bytes,
-            w_par,
-        }
+        let dag = &self.workflow.dag;
+        let w_par = self.schedule.failure_free_parallel_time(dag);
+        assessment(policy, sg, dag, w_par, evaluator)
+            .expect("Pipeline inputs are valid by construction")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocate::allocate;
     use crate::pfail::lambda_from_pfail;
     use pegasus::ccr::scale_to_ccr;
     use pegasus::{generate, WorkflowClass};

@@ -445,11 +445,6 @@ impl RestartCurve {
         (self.ts[0], *self.ts.last().unwrap())
     }
 
-    /// Number of grid points (diagnostic).
-    pub fn n_points(&self) -> usize {
-        self.ts.len()
-    }
-
     /// Expected completion time of a restarted span of length `base` —
     /// the cached equivalent of [`FailureModel::expected_restart_time`],
     /// within [`RestartCurve::REL_TOL`] of it for in-range spans and

@@ -48,8 +48,8 @@ use crate::policy::{plan_with_policy_threads, CheckpointPolicy, PolicyScratch};
 use crate::schedule::Schedule;
 
 /// Names of the pipeline stages, in dependency order. Used by the
-/// incremental service's event tracker so tests can assert exactly
-/// which stages a what-if query re-executed.
+/// incremental service's tracker so tests can assert exactly which
+/// stages a what-if query re-executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StageId {
     /// Workflow synthesis / parse (lives in `pegasus`).
@@ -81,49 +81,40 @@ impl StageId {
         StageId::EvalMc,
     ];
 
-    /// Stable display name (also the tracker's event label).
+    /// Stable display name (also the tracker's and the wall
+    /// histogram's label).
     pub fn name(self) -> &'static str {
-        match self {
-            StageId::Generate => "generate",
-            StageId::Schedule => "schedule",
-            StageId::Curve => "curve",
-            StageId::Placement => "placement",
-            StageId::SegmentGraph => "segment_graph",
-            StageId::EvalAnalytic => "eval_analytic",
-            StageId::EvalMc => "eval_mc",
-        }
+        NAMES[self as usize][0]
     }
 
     /// Static site name `"stage.<name>"`, shared by the fault-injection
-    /// sites ([`inject`]) and the execution spans ([`traced`]) so the
-    /// two instrumentation layers can never drift apart.
+    /// sites ([`inject`]) and the execution spans ([`traced`]).
     pub fn site(self) -> &'static str {
-        match self {
-            StageId::Generate => "stage.generate",
-            StageId::Schedule => "stage.schedule",
-            StageId::Curve => "stage.curve",
-            StageId::Placement => "stage.placement",
-            StageId::SegmentGraph => "stage.segment_graph",
-            StageId::EvalAnalytic => "stage.eval_analytic",
-            StageId::EvalMc => "stage.eval_mc",
-        }
+        NAMES[self as usize][1]
     }
 
-    /// Static resolution-span name `"resolve.<name>"`, used by the
-    /// incremental service when it looks a stage's artifact up in the
-    /// store (see `ckpt_service::Session` and DESIGN.md §12).
+    /// Static resolution-span name `"resolve.<name>"`, used when a
+    /// stage's artifact is looked up in the service store (see
+    /// `ckpt_service::Memo::resolve` and DESIGN.md §12).
     pub fn resolve_site(self) -> &'static str {
-        match self {
-            StageId::Generate => "resolve.generate",
-            StageId::Schedule => "resolve.schedule",
-            StageId::Curve => "resolve.curve",
-            StageId::Placement => "resolve.placement",
-            StageId::SegmentGraph => "resolve.segment_graph",
-            StageId::EvalAnalytic => "resolve.eval_analytic",
-            StageId::EvalMc => "resolve.eval_mc",
-        }
+        NAMES[self as usize][2]
     }
 }
+
+/// The one naming scheme of every stage, indexed by [`StageId`]:
+/// `[name, "stage.<name>", "resolve.<name>"]`. Tracker labels, fault
+/// sites, spans and metric labels all read it, so they cannot drift
+/// apart.
+#[rustfmt::skip]
+const NAMES: [[&str; 3]; StageId::ALL.len()] = [
+    ["generate", "stage.generate", "resolve.generate"],
+    ["schedule", "stage.schedule", "resolve.schedule"],
+    ["curve", "stage.curve", "resolve.curve"],
+    ["placement", "stage.placement", "resolve.placement"],
+    ["segment_graph", "stage.segment_graph", "resolve.segment_graph"],
+    ["eval_analytic", "stage.eval_analytic", "resolve.eval_analytic"],
+    ["eval_mc", "stage.eval_mc", "resolve.eval_mc"],
+];
 
 impl std::fmt::Display for StageId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -141,8 +132,6 @@ impl std::fmt::Display for StageId {
 /// live outside this crate (`Generate` in `pegasus`, `EvalMc` in
 /// `failsim`) under the same naming scheme.
 pub fn inject(stage: StageId) -> PlanResult<()> {
-    // The site string is derived from the stage name so injection sites
-    // and tracker labels can never drift apart. &'static via site().
     seedmix::faultinject::fire_err(stage.site()).map_err(|message| PlanError::StageFailed {
         stage,
         message,
@@ -332,6 +321,10 @@ mod tests {
         }
         let names: std::collections::HashSet<_> = StageId::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), StageId::ALL.len());
+        for s in StageId::ALL {
+            assert_eq!(format!("stage.{}", s.name()), s.site());
+            assert_eq!(format!("resolve.{}", s.name()), s.resolve_site());
+        }
     }
 
     #[test]

@@ -368,17 +368,6 @@ impl Dag {
             .collect()
     }
 
-    /// In-degree of `t` counting *distinct* predecessor tasks.
-    pub fn distinct_pred_count(&self, t: TaskId) -> usize {
-        let mut seen: Vec<TaskId> = Vec::with_capacity(self.pred[t.index()].len());
-        for &(u, _) in &self.pred[t.index()] {
-            if !seen.contains(&u) {
-                seen.push(u);
-            }
-        }
-        seen.len()
-    }
-
     /// A deterministic topological order (Kahn's algorithm, smallest task id
     /// first). Returns `None` if the graph has a cycle.
     pub fn topo_order(&self) -> Option<Vec<TaskId>> {

@@ -10,7 +10,7 @@
 //!    counts), engine cells, and MC reductions. Exported as
 //!    schema-validated JSONL ([`jsonl`]).
 //! 2. [`metrics`] — counters/gauges/histograms with Prometheus-style
-//!    text exposition and a JSON snapshot for `BENCH_hotpath.json`.
+//!    text exposition.
 //! 3. Profiling — the per-stage wall histogram and the engine's
 //!    per-cell timings are derived from [`span::timed_full`]'s returned
 //!    nanoseconds, so traces and profiles can never disagree.

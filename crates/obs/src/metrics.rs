@@ -1,6 +1,5 @@
 //! Typed metrics registry: counters, gauges, and histograms with a
-//! Prometheus-style text exposition and a machine-readable JSON
-//! snapshot (consumed by the `obs` section of `BENCH_hotpath.json`).
+//! Prometheus-style text exposition.
 //!
 //! Naming convention (enforced by use, documented in DESIGN.md §12):
 //! every metric is prefixed `ckpt_`, counters end in `_total`, and
@@ -258,62 +257,6 @@ mod live {
         out
     }
 
-    fn json_escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Machine-readable snapshot: one flat JSON object per metric
-    /// class, keyed by `name{label}`, sorted. Histograms report
-    /// `{"count": n, "sum": seconds}`.
-    pub fn snapshot_json() -> String {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
-        for ((name, label), metric) in reg.iter() {
-            let key = json_escape(&format!("{name}{}", render_label(label)));
-            match metric {
-                Metric::Counter(c) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    let _ = write!(counters, "\"{key}\":{}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    let _ = write!(gauges, "\"{key}\":{}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    if !hists.is_empty() {
-                        hists.push(',');
-                    }
-                    let _ = write!(
-                        hists,
-                        "\"{key}\":{{\"count\":{},\"sum\":{}}}",
-                        h.count(),
-                        h.sum()
-                    );
-                }
-            }
-        }
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-        )
-    }
-
     /// Zero every registered metric in place (handles stay valid).
     /// Used by binaries at startup and by tests for isolation.
     pub fn reset() {
@@ -336,8 +279,8 @@ mod live {
 
 #[cfg(feature = "enabled")]
 pub use live::{
-    counter, exposition, gauge, labeled_counter, labeled_histogram_seconds, reset, snapshot_json,
-    Counter, Gauge, Histogram, SECONDS_BUCKETS,
+    counter, exposition, gauge, labeled_counter, labeled_histogram_seconds, reset, Counter, Gauge,
+    Histogram, SECONDS_BUCKETS,
 };
 
 #[cfg(not(feature = "enabled"))]
@@ -413,17 +356,13 @@ mod stub {
         String::new()
     }
     #[inline(always)]
-    pub fn snapshot_json() -> String {
-        "{\"counters\":{},\"gauges\":{},\"histograms\":{}}".to_string()
-    }
-    #[inline(always)]
     pub fn reset() {}
 }
 
 #[cfg(not(feature = "enabled"))]
 pub use stub::{
-    counter, exposition, gauge, labeled_counter, labeled_histogram_seconds, reset, snapshot_json,
-    Counter, Gauge, Histogram, SECONDS_BUCKETS,
+    counter, exposition, gauge, labeled_counter, labeled_histogram_seconds, reset, Counter, Gauge,
+    Histogram, SECONDS_BUCKETS,
 };
 
 #[cfg(all(test, feature = "enabled"))]
@@ -461,11 +400,6 @@ mod live_tests {
         let curves = text.find("memo=\"curves\"").unwrap();
         let plans = text.find("memo=\"plans\"").unwrap();
         assert!(curves < plans);
-
-        let snap = snapshot_json();
-        assert!(snap.contains("\"ckpt_test_cancellations_total\":3"));
-        assert!(snap.contains("\"ckpt_test_stage_wall_seconds{stage=\\\"plan\\\"}\":{\"count\":2"));
-        assert!(snap.starts_with("{\"counters\":{") && snap.ends_with("}}"));
     }
 
     #[test]
@@ -505,6 +439,5 @@ mod stub_tests {
         h.observe(1.0);
         assert_eq!(0, h.count());
         assert!(exposition().is_empty());
-        assert!(snapshot_json().contains("\"counters\":{}"));
     }
 }

@@ -92,11 +92,6 @@ impl Discrete {
         self.points.last().expect("non-empty").0
     }
 
-    /// Smallest support value.
-    pub fn min_value(&self) -> f64 {
-        self.points.first().expect("non-empty").0
-    }
-
     /// `P[X <= x]`.
     pub fn cdf(&self, x: f64) -> f64 {
         self.points

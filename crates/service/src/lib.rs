@@ -18,8 +18,8 @@
 //!   workflow edit) by re-executing exactly the stages whose input
 //!   fingerprints changed. Batched queries fan out on a thread pool and
 //!   stay byte-identical for every budget.
-//! * [`Tracker`] — records, per stage resolution, whether the artifact
-//!   was executed or served from the store, so tests can assert the
+//! * [`Tracker`] — counts, per stage, whether resolutions executed or
+//!   were served from the store, so tests can assert the
 //!   invalidation matrix exactly (a λ drift re-runs curve + placement +
 //!   segment-graph + evaluate and nothing else; a no-op runs nothing).
 //!
@@ -53,5 +53,7 @@ pub use session::{
     generate_keyed, schedule_keyed, Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec,
     Session, WhatIf, WorkflowSource,
 };
-pub use store::{Memo, MemoStats, Resolution, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS};
-pub use tracker::{Event, Outcome, Tracker};
+pub use store::{
+    Memo, MemoStats, ScheduleArtifact, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS,
+};
+pub use tracker::{Outcome, Tracker};

@@ -20,7 +20,8 @@
 //! curve     = (model, wf.structure, wf.sizes, bw)
 //! placement = (wf.combined, model, bw, schedule, policy)
 //! graph     = (placement)      — placement's key closes over the rest
-//! eval      = (graph, evaluator)
+//! eval      = (graph, evaluator)   — the analytic assessment: expected
+//!                                    makespan, placement census, w_par
 //! mc        = (graph, model, runs, seed)
 //! ```
 //!
@@ -30,8 +31,8 @@
 //! decides *who* computes, never *what*. The split workflow fingerprint
 //! gives early cutoff: a CCR rescale leaves `schedule` untouched, a λ
 //! drift leaves both `schedule` and the workflow alone, and a no-op
-//! query re-executes nothing at all. The [`Tracker`] records each
-//! stage's outcome so tests assert those sets exactly.
+//! query re-executes nothing at all. The [`Tracker`] counts each
+//! stage's outcomes so tests assert those sets exactly.
 //!
 //! ## Failure semantics
 //!
@@ -54,18 +55,16 @@ use std::time::Duration;
 
 use ckpt_core::budget::install_quiet_unwind_hook;
 use ckpt_core::error::{require_pfail, require_positive};
+use ckpt_core::evaluate::assessment;
 use ckpt_core::fingerprint::{allocate_config_fp, compose, linearizer_reads_file_sizes, model_fp};
 use ckpt_core::policy::{
     CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy,
     GreedyCrossover, PolicyScratch, RiskThreshold,
 };
 use ckpt_core::stage::{
-    curve_stage, evaluate_stage, inject, placement_stage, schedule_stage, segment_graph_stage,
-    traced, StageId,
+    curve_stage, inject, placement_stage, schedule_stage, segment_graph_stage, traced, StageId,
 };
-use ckpt_core::{
-    AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform, Schedule,
-};
+use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
 use failsim::{montecarlo_segments_model, montecarlo_segments_model_abortable, McStats, SimConfig};
 use mspg::TaskId;
 use pegasus::WorkflowClass;
@@ -73,7 +72,7 @@ use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
 use seedmix::digest::Fnv1a;
 use seedmix::parallel_slots;
 
-use crate::store::{Memo, Store, WorkflowArtifact};
+use crate::store::{Memo, ScheduleArtifact, Store, WorkflowArtifact};
 use crate::tracker::{Outcome, Tracker};
 use obs::span::SpanOutcome;
 
@@ -90,8 +89,6 @@ mod tag {
     pub const POLICY: u64 = 0x5356_5043; // "SVPC"
     pub const EVALUATOR: u64 = 0x5356_4554; // "SVET"
     pub const MCSPEC: u64 = 0x5356_4d53; // "SVMS"
-    pub const WPAR: u64 = 0x5356_5750; // "SVWP"
-    pub const STATS: u64 = 0x5356_5354; // "SVST"
 }
 
 /// Where the session's workflow comes from.
@@ -164,21 +161,29 @@ pub fn generate_keyed(
 }
 
 /// The Schedule stage of `wa` on `procs` processors under `alloc`: its
-/// store key and the computation the key names. The key never reads the
-/// failure model, and reads file sizes only through the MinVolume
-/// linearizer. Shared by [`Session`] and the grid engine, like
-/// [`generate_keyed`].
+/// store key and the computation the key names (the schedule and its
+/// failure-free parallel time). The key never reads the failure model,
+/// and reads file sizes only through the MinVolume linearizer. Shared
+/// by [`Session`] and the grid engine, like [`generate_keyed`].
 pub fn schedule_keyed(
     wa: &WorkflowArtifact,
     procs: usize,
     alloc: AllocateConfig,
-) -> (u64, impl Fn() -> PlanResult<Schedule> + '_) {
+) -> (u64, impl Fn() -> PlanResult<ScheduleArtifact> + '_) {
     let mut parts = vec![wa.fp.structure, procs as u64, allocate_config_fp(&alloc)];
     if linearizer_reads_file_sizes(alloc.linearizer) {
         parts.push(wa.fp.file_sizes);
     }
     let key = compose(tag::SCHEDULE, &parts);
-    (key, move || schedule_stage(&wa.workflow, procs, &alloc))
+    let schedule = move || {
+        let schedule = schedule_stage(&wa.workflow, procs, &alloc)?;
+        let w_par = schedule.failure_free_parallel_time(&wa.workflow.dag);
+        Ok(ScheduleArtifact {
+            schedule: Arc::new(schedule),
+            w_par,
+        })
+    };
+    (key, schedule)
 }
 
 /// A calibrated failure-model specification. Unlike a raw
@@ -565,7 +570,7 @@ impl Session {
         }
     }
 
-    /// The event tracker (clear it between queries to assert per-query
+    /// The stage tracker (clear it between queries to assert per-query
     /// stage sets).
     pub fn tracker(&self) -> &Tracker {
         &self.tracker
@@ -719,7 +724,7 @@ impl Session {
     }
 
     /// Runs the stage graph for `inputs` against the store, recording
-    /// an event per stage. `inputs` must already be validated.
+    /// one outcome per stage. `inputs` must already be validated.
     fn try_resolve(&self, inputs: &Inputs, budget: Option<&Budget>) -> PlanResult<Answer> {
         let wa = self.workflow_artifact(inputs)?;
         let w = &wa.workflow;
@@ -729,12 +734,13 @@ impl Session {
         let bw_bits = inputs.bandwidth.to_bits();
 
         let (sched_key, schedule) = schedule_keyed(&wa, inputs.procs, inputs.alloc);
-        let schedule = self.memo_stage(
+        let scheduled = self.memo_stage(
             StageId::Schedule,
             &self.store.schedules,
             sched_key,
             schedule,
         )?;
+        let schedule = &scheduled.schedule;
 
         // Curve: model + span statistics (weights, sizes, bandwidth).
         let curve_key = compose(tag::CURVE, &[mfp, fp.structure, fp.file_sizes, bw_bits]);
@@ -762,7 +768,7 @@ impl Session {
             let policy = inputs.policy.build();
             placement_stage(
                 &ctx,
-                &schedule,
+                schedule,
                 policy.as_ref(),
                 &mut PolicyScratch::new(),
                 self.plan_threads,
@@ -774,14 +780,18 @@ impl Session {
         // placement key closes over this stage's inputs too.
         let graph_key = compose(tag::GRAPH, &[place_key]);
         let sg = self.memo_stage(StageId::SegmentGraph, &self.store.graphs, graph_key, || {
-            segment_graph_stage(&ctx, &schedule, &plan)
+            segment_graph_stage(&ctx, schedule, &plan)
         })?;
 
-        // Analytic evaluate.
+        // Analytic evaluate. The assessment also carries the placement
+        // census and w_par the answer reports; this key covers both.
         let eval_key = compose(tag::EVAL, &[graph_key, inputs.evaluator.fp()]);
-        let em = self.memo_stage(StageId::EvalAnalytic, &self.store.evals, eval_key, || {
-            evaluate_stage(&sg, inputs.evaluator.build().as_ref())
-        })?;
+        let evaluate = || {
+            let policy = inputs.policy.name();
+            let evaluator = inputs.evaluator.build();
+            assessment(policy, &sg, &w.dag, scheduled.w_par, evaluator.as_ref())
+        };
+        let eval = self.memo_stage(StageId::EvalAnalytic, &self.store.evals, eval_key, evaluate)?;
 
         // Monte Carlo ground truth, if configured. The one stage that
         // degrades instead of failing on an expired deadline: the
@@ -818,30 +828,14 @@ impl Session {
             }
         };
 
-        // Answer assembly: both derivations are pure functions of
-        // artifacts already keyed above, memoized so a fully warm query
-        // costs O(1), not O(tasks) — the batch-amortization headroom
-        // lives here.
-        let stats = self
-            .store
-            .stats
-            .get_or_compute(compose(tag::STATS, &[graph_key]), || {
-                sg.placement_stats(&w.dag)
-            });
-        let w_par = self
-            .store
-            .wpars
-            .get_or_compute(compose(tag::WPAR, &[sched_key]), || {
-                schedule.failure_free_parallel_time(&w.dag)
-            });
         Ok(Answer {
-            policy: inputs.policy.name(),
-            expected_makespan: *em,
-            n_checkpoints: stats.segments,
-            n_segments: stats.segments,
-            ckpt_files: stats.ckpt_files,
-            ckpt_bytes: stats.ckpt_bytes,
-            w_par: *w_par,
+            policy: eval.policy,
+            expected_makespan: eval.expected_makespan,
+            n_checkpoints: eval.n_checkpoints,
+            n_segments: eval.n_segments,
+            ckpt_files: eval.ckpt_files,
+            ckpt_bytes: eval.ckpt_bytes,
+            w_par: eval.w_par,
             mc,
             degraded,
         })
@@ -871,8 +865,8 @@ impl Session {
     }
 
     /// [`Memo::resolve`] with tracker recording: each resolution
-    /// records exactly one event, the same outcome its
-    /// `"resolve.<stage>"` span carries.
+    /// records exactly one outcome, the one its `"resolve.<stage>"`
+    /// span carries.
     fn memo_stage<V: Send + Sync>(
         &self,
         stage: StageId,

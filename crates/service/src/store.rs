@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ckpt_core::budget::Cancelled;
-use ckpt_core::{PlanError, PlanResult, StageId};
+use ckpt_core::{Assessment, PlanError, PlanResult, Schedule, StageId};
 use obs::span::SpanOutcome;
 
 use crate::tracker::Outcome;
@@ -161,22 +161,6 @@ impl std::fmt::Display for MemoStats {
             self.hits, self.misses, self.evictions, self.retries, self.takeovers, self.failures
         )
     }
-}
-
-/// How one [`Memo::get_or_try_compute_with`] call was satisfied, from
-/// the *calling session's* point of view. This is deliberately an
-/// out-parameter rather than part of the value: resolution telemetry
-/// must never contaminate the memoized artifact (which is shared and
-/// scheduling-independent), while who-computed-what is inherently
-/// per-caller and scheduling-dependent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Resolution {
-    /// Whether this caller's own closure produced the final value.
-    pub computed: bool,
-    /// Compute attempts this caller ran (a successful one included).
-    pub attempts: u32,
-    /// Whether this caller parked behind another worker at least once.
-    pub waited: bool,
 }
 
 /// How one compute attempt ended (internal classification of closure
@@ -330,7 +314,8 @@ impl<V> Memo<V> {
         attempt
     }
 
-    /// The artifact for `key`, computing it with `f` on first access.
+    /// The artifact of `stage` under `key`, computing it with `f` on
+    /// first access — the one way into a memo.
     ///
     /// `f` must be a pure function of the content `key` fingerprints —
     /// the whole soundness story rests on that contract; it is also
@@ -346,114 +331,13 @@ impl<V> Memo<V> {
     /// [`PlanError::Cancelled`] unwind returns the slot untouched to
     /// `Idle` and surfaces only to the cancelled caller. Nothing is
     /// ever served from a slot except a fully computed artifact.
-    ///
     /// `stage` labels errors built from caught panics.
-    pub fn get_or_try_compute(
-        &self,
-        key: u64,
-        stage: StageId,
-        f: impl Fn() -> PlanResult<V>,
-    ) -> PlanResult<Arc<V>> {
-        self.get_or_try_compute_with(key, stage, f, &mut Resolution::default())
-    }
-
-    /// [`Memo::get_or_try_compute`] that additionally reports *how*
-    /// this call was satisfied through the [`Resolution`] out-param
-    /// (own compute vs. store, attempts run, whether it ever waited).
-    /// The session's tracker events and resolution spans are built
-    /// from this — the returned artifact is identical either way.
-    pub fn get_or_try_compute_with(
-        &self,
-        key: u64,
-        stage: StageId,
-        f: impl Fn() -> PlanResult<V>,
-        res: &mut Resolution,
-    ) -> PlanResult<Arc<V>> {
-        *res = Resolution::default();
-        let slot = self.slot(key);
-        let mut g = slot.lock();
-        loop {
-            match &*g {
-                SlotState::Done(v) => return Ok(v.clone()),
-                SlotState::Failed(e) => return Err(e.clone()),
-                SlotState::InFlight => {
-                    res.waited = true;
-                    // Timed re-check instead of a bare wait: progress
-                    // never depends on a notification arriving.
-                    let (guard, _timeout) = slot
-                        .cv
-                        .wait_timeout(g, WAIT_RECHECK)
-                        .unwrap_or_else(|e| e.into_inner());
-                    g = guard;
-                }
-                SlotState::Idle { failures } => {
-                    let prior = *failures;
-                    *g = SlotState::InFlight;
-                    drop(g);
-                    if prior > 0 {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if res.waited {
-                        self.takeovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    res.attempts += 1;
-                    let outcome = Self::run_attempt(&f);
-                    g = slot.lock();
-                    match outcome {
-                        Attempt::Value(v) => {
-                            res.computed = true;
-                            let v = Arc::new(v);
-                            *g = SlotState::Done(v.clone());
-                            slot.cv.notify_all();
-                            return Ok(v);
-                        }
-                        Attempt::Cancelled => {
-                            // Not a fault: hand the slot back untouched
-                            // so a waiter with a live budget takes over.
-                            *g = SlotState::Idle { failures: prior };
-                            slot.cv.notify_all();
-                            return Err(PlanError::Cancelled);
-                        }
-                        Attempt::Fatal(e) => {
-                            *g = SlotState::Failed(e.clone());
-                            drop(g);
-                            self.failures.fetch_add(1, Ordering::Relaxed);
-                            self.remove_slot(key, &slot);
-                            slot.cv.notify_all();
-                            return Err(e);
-                        }
-                        Attempt::Transient(message) => {
-                            let attempts = prior + 1;
-                            if attempts >= MAX_ATTEMPTS {
-                                let e = PlanError::StageFailed {
-                                    stage,
-                                    message,
-                                    attempts,
-                                };
-                                *g = SlotState::Failed(e.clone());
-                                drop(g);
-                                self.failures.fetch_add(1, Ordering::Relaxed);
-                                self.remove_slot(key, &slot);
-                                slot.cv.notify_all();
-                                return Err(e);
-                            }
-                            *g = SlotState::Idle { failures: attempts };
-                            slot.cv.notify_all();
-                            // Loop: retry with our own closure (a
-                            // waiter may beat us to the takeover, in
-                            // which case we park on InFlight).
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One memoized resolution of `stage`'s artifact under `key`, as
-    /// `Session` and the grid engine both perform it: [`Memo::get_or_try_compute`]
-    /// inside one `"resolve.<stage>"` span carrying the key, the outcome
-    /// and this caller's attempt count (stage spans from `f` nest under
-    /// it). Returns the caller's [`Outcome`] for a [`crate::Tracker`].
+    ///
+    /// The resolution is one `"resolve.<stage>"` span carrying the key,
+    /// the outcome and this caller's attempt count (stage spans from
+    /// `f` nest under it). The returned [`Outcome`] — `Executed` iff
+    /// this caller's closure produced the artifact — is what a
+    /// [`crate::Tracker`] records.
     pub fn resolve(
         &self,
         stage: StageId,
@@ -461,8 +345,82 @@ impl<V> Memo<V> {
         f: impl Fn() -> PlanResult<V>,
     ) -> (PlanResult<Arc<V>>, Outcome) {
         let mut span = obs::span::enter_key(stage.resolve_site(), key);
-        let mut how = Resolution::default();
-        let res = self.get_or_try_compute_with(key, stage, f, &mut how);
+        // How this caller was served: per-caller and scheduling-dependent,
+        // so it feeds the span and the outcome, never the shared artifact.
+        let mut attempts = 0u32;
+        let mut waited = false;
+        let mut executed = false;
+        let res = {
+            let slot = self.slot(key);
+            let mut g = slot.lock();
+            loop {
+                let prior = match &*g {
+                    SlotState::Done(v) => break Ok(v.clone()),
+                    SlotState::Failed(e) => break Err(e.clone()),
+                    SlotState::InFlight => {
+                        waited = true;
+                        // Timed re-check instead of a bare wait: progress
+                        // never depends on a notification arriving.
+                        let (guard, _timeout) = slot
+                            .cv
+                            .wait_timeout(g, WAIT_RECHECK)
+                            .unwrap_or_else(|e| e.into_inner());
+                        g = guard;
+                        continue;
+                    }
+                    SlotState::Idle { failures } => *failures,
+                };
+                *g = SlotState::InFlight;
+                drop(g);
+                if prior > 0 {
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                if waited {
+                    self.takeovers.fetch_add(1, Ordering::Relaxed);
+                }
+                attempts += 1;
+                let attempt = Self::run_attempt(&f);
+                g = slot.lock();
+                let terminal = match attempt {
+                    Attempt::Value(v) => {
+                        executed = true;
+                        let v = Arc::new(v);
+                        *g = SlotState::Done(v.clone());
+                        slot.cv.notify_all();
+                        break Ok(v);
+                    }
+                    Attempt::Cancelled => {
+                        // Not a fault: hand the slot back untouched so a
+                        // waiter with a live budget takes over.
+                        *g = SlotState::Idle { failures: prior };
+                        slot.cv.notify_all();
+                        break Err(PlanError::Cancelled);
+                    }
+                    Attempt::Fatal(e) => e,
+                    Attempt::Transient(message) => {
+                        let failures = prior + 1;
+                        if failures < MAX_ATTEMPTS {
+                            *g = SlotState::Idle { failures };
+                            slot.cv.notify_all();
+                            // Retry with our own closure (a waiter may
+                            // beat us to the takeover, and then we park).
+                            continue;
+                        }
+                        PlanError::StageFailed {
+                            stage,
+                            message,
+                            attempts: failures,
+                        }
+                    }
+                };
+                *g = SlotState::Failed(terminal.clone());
+                drop(g);
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                self.remove_slot(key, &slot);
+                slot.cv.notify_all();
+                break Err(terminal);
+            }
+        };
         let outcome = match &res {
             // `e.attempts()` is the memo layer's total across takeovers
             // (what the error surfaced), not just this caller's runs.
@@ -470,28 +428,16 @@ impl<V> Memo<V> {
                 attempts: e.attempts(),
                 kind: e.kind(),
             },
-            Ok(_) if how.computed => Outcome::Executed,
+            Ok(_) if executed => Outcome::Executed,
             Ok(_) => Outcome::Cached,
         };
-        span.set_attempts(how.attempts);
+        span.set_attempts(attempts);
         span.set_outcome(match outcome {
             Outcome::Executed => SpanOutcome::Executed,
             Outcome::Cached => SpanOutcome::Cached,
             Outcome::Failed { .. } => SpanOutcome::Failed,
         });
         (res, outcome)
-    }
-
-    /// Infallible-closure convenience over [`Memo::get_or_try_compute`]
-    /// (the offline callers: statistics memos).
-    ///
-    /// # Panics
-    /// Re-raises a terminal failure as a panic — for a closure that
-    /// cannot return an error, a failure here means the closure itself
-    /// panicked [`MAX_ATTEMPTS`] times.
-    pub fn get_or_compute(&self, key: u64, f: impl Fn() -> V) -> Arc<V> {
-        self.get_or_try_compute(key, StageId::Generate, || Ok(f()))
-            .unwrap_or_else(|e| panic!("memo compute failed: {e}"))
     }
 
     /// Current entry count.
@@ -528,7 +474,7 @@ impl<V> Default for Memo<V> {
     }
 }
 
-/// One memo per stage artifact kind — the session's shared store.
+/// One memo per [`StageId`] — the session's shared store.
 ///
 /// Keys are *stage-input fingerprints* (see `ckpt_core::fingerprint`
 /// and the composition scheme in [`crate::session`]); values are the
@@ -537,23 +483,19 @@ impl<V> Default for Memo<V> {
 pub struct Store {
     /// Generated (and CCR-scaled) workflows with their fingerprints.
     pub workflows: Memo<WorkflowArtifact>,
-    /// Algorithm 1 schedules.
-    pub schedules: Memo<ckpt_core::Schedule>,
+    /// Algorithm 1 schedules with their failure-free parallel times.
+    pub schedules: Memo<ScheduleArtifact>,
     /// Renewal restart curves (`None` = memoryless/never-failing).
     pub curves: Memo<Option<ckpt_core::RestartCurve>>,
     /// Checkpoint plans.
     pub plans: Memo<ckpt_core::CheckpointPlan>,
     /// Coalesced 2-state segment graphs.
     pub graphs: Memo<ckpt_core::SegmentGraph>,
-    /// Analytic expected-makespan estimates.
-    pub evals: Memo<f64>,
+    /// Analytic assessments: expected makespan plus the placement
+    /// census and failure-free parallel time an answer reports.
+    pub evals: Memo<Assessment>,
     /// Monte Carlo ground-truth estimates.
     pub sims: Memo<failsim::McStats>,
-    /// Failure-free parallel times (keyed by schedule key — the answer
-    /// assembly must stay O(1) per warm query, not O(tasks)).
-    pub wpars: Memo<f64>,
-    /// Placement-statistic censuses (keyed by graph key, same reason).
-    pub stats: Memo<ckpt_core::PlacementStats>,
 }
 
 /// A workflow together with its content fingerprint and summary
@@ -582,15 +524,26 @@ impl WorkflowArtifact {
     }
 }
 
+/// A schedule together with its failure-free parallel time, which reads
+/// only the task weights and the schedule, both covered by the schedule
+/// key (computed once, so a warm answer touches no O(tasks) code).
+pub struct ScheduleArtifact {
+    /// The schedule, shared: the grid engine hands it to every cell's
+    /// `Pipeline`.
+    pub schedule: Arc<Schedule>,
+    /// Failure-free parallel time of the schedule, without storage I/O.
+    pub w_par: f64,
+}
+
 /// Aggregated statistics of a whole [`Store`]: the totals row plus a
-/// per-memo breakdown, in the store's declaration order. Printed by
+/// per-memo breakdown, in stage order. Printed by
 /// `whatif --stats` and exported to the metrics registry by
 /// [`Store::export_metrics`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Sum over every memo.
     pub totals: MemoStats,
-    /// `(memo name, its counters)`, declaration-ordered.
+    /// `(memo name, its counters)`, stage-ordered.
     pub per_memo: Vec<(&'static str, MemoStats)>,
 }
 
@@ -621,12 +574,11 @@ impl Store {
             graphs: Memo::bounded(capacity),
             evals: Memo::bounded(capacity),
             sims: Memo::bounded(capacity),
-            wpars: Memo::bounded(capacity),
-            stats: Memo::bounded(capacity),
         }
     }
 
-    /// Snapshot of every memo's counters plus the totals row.
+    /// Snapshot of every memo's counters plus the totals row, one row
+    /// per [`StageId`] in stage order.
     pub fn stats(&self) -> StoreStats {
         let per_memo: Vec<(&'static str, MemoStats)> = vec![
             ("workflows", self.workflows.stats()),
@@ -636,8 +588,6 @@ impl Store {
             ("graphs", self.graphs.stats()),
             ("evals", self.evals.stats()),
             ("sims", self.sims.stats()),
-            ("wpars", self.wpars.stats()),
-            ("stats", self.stats.stats()),
         ];
         let mut totals = MemoStats::default();
         for (_, s) in &per_memo {
@@ -677,18 +627,30 @@ mod tests {
     use std::cell::Cell;
     use std::sync::atomic::AtomicUsize;
 
+    /// The artifact of an infallible resolution.
+    fn get(memo: &Memo<u64>, key: u64, f: impl Fn() -> u64) -> Arc<u64> {
+        memo.resolve(StageId::Generate, key, || Ok(f()))
+            .0
+            .expect("an infallible closure resolves")
+    }
+
     #[test]
     fn computes_once_per_key() {
         let memo: Memo<u64> = Memo::new();
         let calls = Cell::new(0);
+        let mut outcomes = Vec::new();
         for _ in 0..3 {
-            let v = memo.get_or_compute(7, || {
+            let (v, outcome) = memo.resolve(StageId::Curve, 7, || {
                 calls.set(calls.get() + 1);
-                42
+                Ok(42)
             });
-            assert_eq!(*v, 42);
+            assert_eq!(*v.unwrap(), 42);
+            outcomes.push(outcome);
         }
         assert_eq!(calls.get(), 1);
+        // Who computed it: this caller first, the store after.
+        let expected = [Outcome::Executed, Outcome::Cached, Outcome::Cached];
+        assert_eq!(expected.to_vec(), outcomes);
         let s = memo.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0));
     }
@@ -696,19 +658,19 @@ mod tests {
     #[test]
     fn lru_eviction_is_deterministic() {
         let memo: Memo<u64> = Memo::bounded(2);
-        memo.get_or_compute(1, || 1);
-        memo.get_or_compute(2, || 2);
-        memo.get_or_compute(1, || 1); // touch 1 → 2 is now LRU
-        memo.get_or_compute(3, || 3); // evicts 2
+        get(&memo, 1, || 1);
+        get(&memo, 2, || 2);
+        get(&memo, 1, || 1); // touch 1 → 2 is now LRU
+        get(&memo, 3, || 3); // evicts 2
         assert_eq!(memo.len(), 2);
         let recomputed = Cell::new(false);
-        memo.get_or_compute(2, || {
+        get(&memo, 2, || {
             recomputed.set(true);
             2
         });
         assert!(recomputed.get(), "evicted key must recompute");
         let recomputed1 = Cell::new(false);
-        memo.get_or_compute(1, || {
+        get(&memo, 1, || {
             recomputed1.set(true);
             1
         });
@@ -725,7 +687,7 @@ mod tests {
         let memo: Memo<u64> = Memo::bounded(1);
         for round in 0..3 {
             for k in 0..4u64 {
-                let v = memo.get_or_compute(k, || k * 10);
+                let v = get(&memo, k, || k * 10);
                 assert_eq!(*v, k * 10, "round {round}");
             }
         }
@@ -739,7 +701,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let v = memo.get_or_compute(99, || {
+                    let v = get(&memo, 99, || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(Duration::from_millis(5));
                         7
@@ -754,7 +716,7 @@ mod tests {
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let memo: Memo<u64> = Memo::new();
-        memo.get_or_compute(1, || 1);
+        get(&memo, 1, || 1);
         memo.clear();
         assert!(memo.is_empty());
         assert_eq!(memo.stats().misses, 1);
@@ -765,13 +727,14 @@ mod tests {
         let memo: Memo<u64> = Memo::new();
         let calls = Cell::new(0u32);
         let v = memo
-            .get_or_try_compute(5, StageId::Placement, || {
+            .resolve(StageId::Placement, 5, || {
                 calls.set(calls.get() + 1);
                 if calls.get() == 1 {
                     panic!("injected first-attempt death");
                 }
                 Ok(13)
             })
+            .0
             .expect("retry must recover a transient panic");
         assert_eq!(*v, 13);
         assert_eq!(calls.get(), 2);
@@ -783,10 +746,11 @@ mod tests {
         let memo: Memo<u64> = Memo::new();
         let calls = Cell::new(0u32);
         let err = memo
-            .get_or_try_compute(5, StageId::Curve, || -> PlanResult<u64> {
+            .resolve(StageId::Curve, 5, || -> PlanResult<u64> {
                 calls.set(calls.get() + 1);
                 panic!("always dies");
             })
+            .0
             .unwrap_err();
         assert_eq!(calls.get(), MAX_ATTEMPTS);
         match &err {
@@ -805,9 +769,7 @@ mod tests {
         // Self-healing: the key was removed, so once the fault source
         // clears the next access recomputes fresh and succeeds.
         assert!(memo.is_empty());
-        let v = memo
-            .get_or_try_compute(5, StageId::Curve, || Ok(99))
-            .unwrap();
+        let v = memo.resolve(StageId::Curve, 5, || Ok(99)).0.unwrap();
         assert_eq!(*v, 99);
     }
 
@@ -816,10 +778,11 @@ mod tests {
         let memo: Memo<u64> = Memo::new();
         let calls = Cell::new(0u32);
         let err = memo
-            .get_or_try_compute(1, StageId::Schedule, || {
+            .resolve(StageId::Schedule, 1, || {
                 calls.set(calls.get() + 1);
                 Err(PlanError::invalid("procs", "zero"))
             })
+            .0
             .unwrap_err();
         assert_eq!(calls.get(), 1, "InvalidInput must not retry");
         assert!(matches!(err, PlanError::InvalidInput { .. }));
@@ -830,16 +793,15 @@ mod tests {
     fn cancellation_leaves_the_slot_reusable_and_uncounted() {
         let memo: Memo<u64> = Memo::new();
         let err = memo
-            .get_or_try_compute(3, StageId::Placement, || -> PlanResult<u64> {
+            .resolve(StageId::Placement, 3, || -> PlanResult<u64> {
                 ckpt_core::Cancelled::throw()
             })
+            .0
             .unwrap_err();
         assert_eq!(err, PlanError::Cancelled);
         assert_eq!(memo.stats().failures, 0);
         // A later caller with a live budget computes normally.
-        let v = memo
-            .get_or_try_compute(3, StageId::Placement, || Ok(8))
-            .unwrap();
+        let v = memo.resolve(StageId::Placement, 3, || Ok(8)).0.unwrap();
         assert_eq!(*v, 8);
     }
 
@@ -854,7 +816,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let r = memo.get_or_try_compute(77, StageId::EvalAnalytic, || {
+                    let (r, _) = memo.resolve(StageId::EvalAnalytic, 77, || {
                         if deaths.fetch_add(1, Ordering::SeqCst) == 0 {
                             panic!("first worker dies");
                         }
@@ -869,49 +831,19 @@ mod tests {
     }
 
     #[test]
-    fn resolution_reports_who_computed_and_attempt_counts() {
-        let memo: Memo<u64> = Memo::new();
-        let mut res = Resolution::default();
-        let v = memo
-            .get_or_try_compute_with(9, StageId::Curve, || Ok(5), &mut res)
-            .unwrap();
-        assert_eq!(*v, 5);
-        assert!(res.computed);
-        assert_eq!(1, res.attempts);
-        assert!(!res.waited);
-        // Second access: pure store hit, zero attempts.
-        let mut res = Resolution::default();
-        let v = memo
-            .get_or_try_compute_with(9, StageId::Curve, || Ok(5), &mut res)
-            .unwrap();
-        assert_eq!(*v, 5);
-        assert!(!res.computed);
-        assert_eq!(0, res.attempts);
-        assert!(!res.waited);
-    }
-
-    #[test]
     fn a_transient_death_counts_one_retry_and_two_attempts() {
         let memo: Memo<u64> = Memo::new();
         let calls = Cell::new(0u32);
-        let mut res = Resolution::default();
-        let v = memo
-            .get_or_try_compute_with(
-                5,
-                StageId::Placement,
-                || {
-                    calls.set(calls.get() + 1);
-                    if calls.get() == 1 {
-                        panic!("first-attempt death");
-                    }
-                    Ok(13)
-                },
-                &mut res,
-            )
-            .unwrap();
-        assert_eq!(*v, 13);
-        assert!(res.computed);
-        assert_eq!(2, res.attempts, "failed attempt + successful retry");
+        let (v, outcome) = memo.resolve(StageId::Placement, 5, || {
+            calls.set(calls.get() + 1);
+            if calls.get() == 1 {
+                panic!("first-attempt death");
+            }
+            Ok(13)
+        });
+        assert_eq!(*v.unwrap(), 13);
+        assert_eq!(Outcome::Executed, outcome);
+        assert_eq!(2, calls.get(), "failed attempt + successful retry");
         let s = memo.stats();
         assert_eq!(1, s.retries);
         assert_eq!(0, s.takeovers, "same caller retried; nobody waited");
@@ -926,7 +858,7 @@ mod tests {
                 // The closure runs strictly after the slot turns
                 // InFlight, so the barrier guarantees the main thread
                 // can only ever observe InFlight and park.
-                let r = memo.get_or_try_compute(1, StageId::Curve, || -> PlanResult<u64> {
+                let (r, _) = memo.resolve(StageId::Curve, 1, || -> PlanResult<u64> {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     ckpt_core::Cancelled::throw()
@@ -934,32 +866,57 @@ mod tests {
                 assert_eq!(r.unwrap_err(), PlanError::Cancelled);
             });
             barrier.wait();
-            let mut res = Resolution::default();
-            let v = memo
-                .get_or_try_compute_with(1, StageId::Curve, || Ok(77), &mut res)
-                .unwrap();
-            assert_eq!(*v, 77);
-            assert!(res.waited, "must have parked behind the canceller");
-            assert!(res.computed, "and then claimed the compute");
+            let (v, outcome) = memo.resolve(StageId::Curve, 1, || Ok(77));
+            assert_eq!(*v.unwrap(), 77);
+            assert_eq!(
+                Outcome::Executed,
+                outcome,
+                "parked, then claimed the compute"
+            );
         });
-        assert_eq!(1, memo.stats().takeovers);
+        assert_eq!(
+            1,
+            memo.stats().takeovers,
+            "must have parked behind the canceller"
+        );
         assert_eq!(0, memo.stats().retries, "cancellation is not a failure");
     }
 
     #[test]
     fn store_stats_aggregates_every_memo_with_a_totals_row() {
         let store = Store::new();
-        store.evals.get_or_compute(1, || 1.0);
-        store.evals.get_or_compute(1, || 1.0); // hit
-        store.wpars.get_or_compute(2, || 3.0);
+        for _ in 0..2 {
+            // A miss, then a hit.
+            store
+                .curves
+                .resolve(StageId::Curve, 1, || Ok(None))
+                .0
+                .unwrap();
+        }
+        let sim = || Ok(failsim::McStats::default());
+        store.sims.resolve(StageId::EvalMc, 2, sim).0.unwrap();
         let s = store.stats();
-        assert_eq!(9, s.per_memo.len(), "one row per memo");
+        let names: Vec<&str> = s.per_memo.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            vec![
+                "workflows",
+                "schedules",
+                "curves",
+                "plans",
+                "graphs",
+                "evals",
+                "sims"
+            ],
+            names,
+            "one row per stage, in stage order"
+        );
+        assert_eq!(StageId::ALL.len(), s.per_memo.len());
         assert_eq!(1, s.totals.hits);
         assert_eq!(2, s.totals.misses);
         let text = s.to_string();
         assert!(text.starts_with("store: hits=1 misses=2"));
-        assert!(text.contains("evals: hits=1 misses=1"));
-        assert!(text.contains("wpars: hits=0 misses=1"));
+        assert!(text.contains("curves: hits=1 misses=1"));
+        assert!(text.contains("sims: hits=0 misses=1"));
     }
 
     #[test]
@@ -974,7 +931,7 @@ mod tests {
             panic!("die holding the map lock");
         })
         .join();
-        let v = memo.get_or_compute(1, || 11);
+        let v = get(&memo, 1, || 11);
         assert_eq!(*v, 11);
     }
 }

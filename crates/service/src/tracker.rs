@@ -1,10 +1,10 @@
-//! Stage-execution event tracking.
+//! Stage-resolution tracking.
 //!
 //! Incremental recomputation is easy to get silently wrong in both
 //! directions: under-invalidation returns stale artifacts,
 //! over-invalidation quietly recomputes everything and the "incremental"
 //! service is incremental in name only. The [`Tracker`] makes both
-//! failure modes *assertable*: every stage resolution records whether
+//! failure modes *assertable*: every stage resolution counts whether
 //! the artifact was executed or served from the store, and tests pin
 //! the exact set of stages a given what-if must re-run (the
 //! invalidation matrix in `tests/invalidation.rs`).
@@ -35,30 +35,40 @@ pub enum Outcome {
     },
 }
 
-/// One stage resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Which stage.
-    pub stage: StageId,
-    /// Executed or cached.
-    pub outcome: Outcome,
-}
-
-/// Records stage resolutions across a session's queries.
+/// Counts stage resolutions across a session's queries.
 ///
-/// Recording is append-only under a mutex; batch queries interleave
-/// events from concurrent workers, so order-sensitive assertions should
-/// run queries serially (the tests do). [`Tracker::executed`] /
-/// [`Tracker::cached`] give order-free set views.
+/// Per stage it counts executed and cached resolutions, and it keeps
+/// every failure in record order: memory stays bounded by the stage
+/// count while resolutions succeed, however long the session runs.
+/// [`Tracker::executed`] / [`Tracker::cached`] / [`Tracker::failed`]
+/// give order-free set views.
 ///
 /// The mutex recovers from poisoning: a batch worker that dies between
 /// `record` calls (a stage panic escaping past its catch boundary)
-/// leaves a fully valid event vector — `push` either appended or it
-/// didn't — and the observer reading the events must not be the second
+/// leaves fully valid counts — each `record` either updated them or it
+/// didn't — and the observer reading them must not be the second
 /// casualty of a worker that already reported its own failure.
 #[derive(Default)]
 pub struct Tracker {
-    events: Mutex<Vec<Event>>,
+    counts: Mutex<Counts>,
+}
+
+#[derive(Default)]
+struct Counts {
+    /// Executed resolutions, indexed by `StageId`.
+    executed: [usize; StageId::ALL.len()],
+    /// Cached resolutions, indexed by `StageId`.
+    cached: [usize; StageId::ALL.len()],
+    /// Every failed resolution: stage, attempt count and error kind.
+    failures: Vec<(StageId, u32, ErrorKind)>,
+}
+
+/// The stages with a nonzero count.
+fn stages_with(counts: &[usize]) -> BTreeSet<StageId> {
+    StageId::ALL
+        .into_iter()
+        .filter(|&s| counts[s as usize] > 0)
+        .collect()
 }
 
 impl Tracker {
@@ -67,67 +77,54 @@ impl Tracker {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<Event>> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Counts> {
+        self.counts.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends one event.
+    /// Counts one resolution of `stage`.
     pub fn record(&self, stage: StageId, outcome: Outcome) {
-        self.lock().push(Event { stage, outcome });
-    }
-
-    /// Snapshot of all events since the last [`Tracker::clear`].
-    pub fn events(&self) -> Vec<Event> {
-        self.lock().clone()
-    }
-
-    fn stages_with(&self, pred: impl Fn(&Outcome) -> bool) -> BTreeSet<StageId> {
-        self.lock()
-            .iter()
-            .filter(|e| pred(&e.outcome))
-            .map(|e| e.stage)
-            .collect()
+        let mut c = self.lock();
+        match outcome {
+            Outcome::Executed => c.executed[stage as usize] += 1,
+            Outcome::Cached => c.cached[stage as usize] += 1,
+            Outcome::Failed { attempts, kind } => c.failures.push((stage, attempts, kind)),
+        }
     }
 
     /// The set of stages that *executed* since the last clear.
     pub fn executed(&self) -> BTreeSet<StageId> {
-        self.stages_with(|o| matches!(o, Outcome::Executed))
+        stages_with(&self.lock().executed)
     }
 
     /// The set of stages served from cache since the last clear.
     pub fn cached(&self) -> BTreeSet<StageId> {
-        self.stages_with(|o| matches!(o, Outcome::Cached))
+        stages_with(&self.lock().cached)
     }
 
     /// The set of stages whose resolution failed since the last clear.
     pub fn failed(&self) -> BTreeSet<StageId> {
-        self.stages_with(|o| matches!(o, Outcome::Failed { .. }))
+        self.lock()
+            .failures
+            .iter()
+            .map(|&(stage, ..)| stage)
+            .collect()
     }
 
     /// Every failure since the last clear, with its attempt count and
     /// error kind, in record order.
     pub fn failures(&self) -> Vec<(StageId, u32, ErrorKind)> {
-        self.lock()
-            .iter()
-            .filter_map(|e| match e.outcome {
-                Outcome::Failed { attempts, kind } => Some((e.stage, attempts, kind)),
-                _ => None,
-            })
-            .collect()
+        self.lock().failures.clone()
     }
 
     /// Number of executions of one stage since the last clear.
     pub fn executed_count(&self, stage: StageId) -> usize {
-        self.lock()
-            .iter()
-            .filter(|e| e.stage == stage && e.outcome == Outcome::Executed)
-            .count()
+        self.lock().executed[stage as usize]
     }
 
-    /// Forgets all events (typically called between what-if queries so
+    /// Forgets all counts (typically called between what-if queries so
     /// each assertion sees exactly one query's stage set).
     pub fn clear(&self) {
-        self.lock().clear();
+        *self.lock() = Counts::default();
     }
 }
 
@@ -150,7 +147,7 @@ mod tests {
         assert_eq!(t.cached(), [StageId::Curve].into_iter().collect());
         assert_eq!(t.executed_count(StageId::Placement), 1);
         t.clear();
-        assert!(t.events().is_empty());
+        assert!(t.executed().is_empty() && t.cached().is_empty() && t.failed().is_empty());
     }
 
     #[test]
@@ -192,15 +189,16 @@ mod tests {
         let t = Arc::new(Tracker::new());
         t.record(StageId::Schedule, Outcome::Executed);
         let t2 = t.clone();
-        // Die while holding the event lock: the vector is still valid
-        // (push is atomic w.r.t. the lock), so observers must recover.
+        // Die while holding the count lock: the counts are still valid
+        // (each record is atomic w.r.t. the lock), so observers must
+        // recover.
         let _ = std::thread::spawn(move || {
-            let _g = t2.events.lock().unwrap();
+            let _g = t2.counts.lock().unwrap();
             panic!("worker dies mid-observation");
         })
         .join();
         t.record(StageId::Curve, Outcome::Cached);
-        assert_eq!(t.events().len(), 2);
+        assert_eq!(t.cached(), [StageId::Curve].into_iter().collect());
         assert_eq!(t.executed_count(StageId::Schedule), 1);
     }
 }

@@ -2,10 +2,12 @@
 //! caching decides *who* computes an artifact, never *what* it is —
 //! and batches must be invariant to the worker thread budget.
 
+use ckpt_core::{Pipeline, Platform, Strategy};
 use ckpt_service::{
     Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
 };
 use pegasus::WorkflowClass;
+use probdag::PathApprox;
 
 fn montage_inputs(pfail: f64) -> Inputs {
     let source = WorkflowSource::Generated {
@@ -139,4 +141,37 @@ fn evaluator_swap_reuses_the_graph() {
         [ckpt_core::StageId::EvalAnalytic].into_iter().collect()
     );
     assert_same(&inc, &cold);
+}
+
+#[test]
+fn baseline_answers_equal_the_one_shot_pipeline() {
+    // The service and `Pipeline` assemble an answer through one
+    // function: the same workflow, allocation, calibrated model and
+    // policy give the same bits.
+    let inputs = montage_inputs(1e-3);
+    let mut w = pegasus::generate(WorkflowClass::Montage, 300, 9);
+    pegasus::ccr::scale_to_ccr(&mut w, 0.05, inputs.bandwidth);
+    let model = inputs.model.build(w.dag.mean_weight());
+    let platform = Platform::with_model(inputs.procs, model, inputs.bandwidth);
+    let pipe = Pipeline::new(&w, platform, &inputs.alloc);
+    for (policy, strategy) in [
+        (PolicySpec::DpOptimal, Strategy::CkptSome),
+        (PolicySpec::CkptAll, Strategy::CkptAll),
+    ] {
+        let a = pipe.assess(strategy, &PathApprox::default());
+        let expected = Answer {
+            policy: a.policy,
+            expected_makespan: a.expected_makespan,
+            n_checkpoints: a.n_checkpoints,
+            n_segments: a.n_segments,
+            ckpt_files: a.ckpt_files,
+            ckpt_bytes: a.ckpt_bytes,
+            w_par: a.w_par,
+            mc: None,
+            degraded: false,
+        };
+        let mut inputs = montage_inputs(1e-3);
+        inputs.policy = policy;
+        assert_same(&Session::new(inputs).baseline(), &expected);
+    }
 }

@@ -68,7 +68,7 @@ fn waiters_survive_a_dying_first_worker() {
         let attempts = AtomicUsize::new(0);
         let start = Instant::now();
         let values = seedmix::parallel_slots(threads, threads, |_| {
-            memo.get_or_try_compute(42, StageId::Placement, || {
+            memo.resolve(StageId::Placement, 42, || {
                 // Exactly the first attempt dies; whoever retries
                 // (the original claimant or a parked waiter) succeeds.
                 if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -76,6 +76,7 @@ fn waiters_survive_a_dying_first_worker() {
                 }
                 Ok(7u64)
             })
+            .0
         });
         assert!(
             values.iter().all(|v| matches!(v.as_deref(), Ok(&7))),
@@ -102,10 +103,11 @@ fn persistent_failure_is_typed_and_self_healing() {
         let memo: Memo<u64> = Memo::new();
         let attempts = AtomicUsize::new(0);
         let results = seedmix::parallel_slots(threads, threads, |_| {
-            memo.get_or_try_compute(9, StageId::Curve, || {
+            memo.resolve(StageId::Curve, 9, || {
                 attempts.fetch_add(1, Ordering::SeqCst);
                 panic!("always dies");
             })
+            .0
         });
         for r in &results {
             match r {
@@ -127,9 +129,7 @@ fn persistent_failure_is_typed_and_self_healing() {
         assert!(total <= MAX_ATTEMPTS as usize * threads);
         // Self-healing: the failed key was removed, so a later query
         // recomputes instead of inheriting the corpse.
-        let v = memo
-            .get_or_try_compute(9, StageId::Curve, || Ok(5u64))
-            .unwrap();
+        let v = memo.resolve(StageId::Curve, 9, || Ok(5u64)).0.unwrap();
         assert_eq!(*v, 5);
     }
 }

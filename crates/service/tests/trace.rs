@@ -24,10 +24,12 @@
 
 #![cfg(feature = "observe")]
 
+use std::cell::Cell;
 use std::sync::Mutex;
 
+use ckpt_core::StageId;
 use ckpt_service::{
-    Answer, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
+    Answer, Inputs, McSpec, Memo, ModelSpec, Outcome, PolicySpec, Session, WhatIf, WorkflowSource,
 };
 use obs::span::{SpanOutcome, SpanRecord};
 use pegasus::WorkflowClass;
@@ -179,4 +181,33 @@ fn arming_the_recorder_does_not_bend_answers() {
             _ => panic!("q{i}: MC presence mismatch"),
         }
     }
+}
+
+/// The canonicalizer prints attempts only on failed spans, so the tree
+/// tests above never see the attempt count of a resolution that
+/// recovered: pin it here.
+#[test]
+fn a_recovered_resolution_records_both_attempts_on_its_span() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let memo: Memo<u64> = Memo::new();
+    let calls = Cell::new(0u32);
+    obs::span::arm();
+    let (value, outcome) = memo.resolve(StageId::Placement, 5, || {
+        calls.set(calls.get() + 1);
+        if calls.get() == 1 {
+            panic!("first-attempt death");
+        }
+        Ok(13)
+    });
+    obs::span::disarm();
+    let spans = obs::span::drain();
+    assert_eq!(13, *value.unwrap());
+    assert_eq!(Outcome::Executed, outcome);
+    let span = spans
+        .iter()
+        .find(|s| s.name == "resolve.placement")
+        .expect("the resolution is spanned");
+    assert_eq!(Some(5), span.key);
+    assert_eq!(SpanOutcome::Executed, span.outcome);
+    assert_eq!(2, span.attempts, "failed attempt + successful retry");
 }
