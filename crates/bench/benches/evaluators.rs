@@ -36,22 +36,35 @@ fn bench_evaluators(c: &mut Criterion) {
 }
 
 fn bench_pathapprox_montage(c: &mut Criterion) {
-    // Montage's complete-bipartite levels are PathApprox's worst case
-    // (wide pred lists in the K-way merge); K = 256 is the production
-    // default. `reused` holds one evaluator across iterations (the
-    // steady-state assess loop: arena + heap + bitsets at their
-    // high-water marks, no per-run allocations); `fresh` constructs a
-    // new evaluator per run.
+    // Montage's complete-bipartite levels are PathApprox's worst case:
+    // the CkptAll graph has 10,159 edges on 300 nodes, so a node
+    // crossing a level has hundreds of predecessors to sweep and, once
+    // asked for a second path, to heapify; and the Clark fold can skip
+    // only about a quarter of the pairs of its K best paths. K = 256 is
+    // the production default. `reused` holds one
+    // evaluator across iterations (the steady-state assess loop: arena,
+    // heaps and bitsets at their high-water marks, no per-run
+    // allocations); `fresh` constructs a new evaluator per run.
     let w = instance(pegasus::WorkflowClass::Montage, 300, 1e-3, 42);
     let pipe = pipeline_for(&w, 18, 0.01, 42);
     let sg = pipe.segment_graph(Strategy::CkptAll);
     let pdag = sg.pdag;
+    // The what-if first visit's shape: the CkptSome graph of the
+    // Montage-300 instance the service benchmark queries (seed 9, CCR
+    // 0.05, 18 processors), at pfail 1e-3.
+    let w9 = instance(pegasus::WorkflowClass::Montage, 300, 0.05, 9);
+    let some = pipeline_for(&w9, 18, 1e-3, 9)
+        .segment_graph(Strategy::CkptSome)
+        .pdag;
 
     let mut group = c.benchmark_group("pathapprox-montage300-k256");
     let reused = PathApprox::default();
     group.bench_function("reused", |b| b.iter(|| reused.expected_makespan(&pdag)));
     group.bench_function("fresh", |b| {
         b.iter(|| PathApprox::default().expected_makespan(&pdag))
+    });
+    group.bench_function("ckptsome-first-visit", |b| {
+        b.iter(|| reused.expected_makespan(&some))
     });
     group.finish();
 }

@@ -157,7 +157,9 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
         };
         pdag.add_node(dist);
     }
-    // Same-processor serialization edges.
+    // Same-processor serialization edges. A segment's tasks run back to
+    // back, so each segment has at most one serialization predecessor.
+    let mut serial_pred = vec![u32::MAX; segments.len()];
     for p in 0..sched.n_procs {
         let mut prev: Option<u32> = None;
         for &sc_idx in &sched.proc_chains[p] {
@@ -166,6 +168,7 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
                 if let Some(q) = prev {
                     if q != s {
                         pdag.add_edge(NodeId(q), NodeId(s));
+                        serial_pred[s as usize] = q;
                     }
                 }
                 prev = Some(s);
@@ -173,13 +176,26 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
         }
     }
     // Data edges: a segment reading file f depends on the segment that
-    // checkpointed f (the producer's segment).
+    // checkpointed f (the producer's segment). Every edge into `s` other
+    // than its serialization edge is added in `s`'s own iteration, so a
+    // per-target stamp, seeded with the serialization predecessor, says
+    // exactly which edges into `s` exist. It replaces `add_edge`'s
+    // linear duplicate scan, which is quadratic on Montage's bipartite
+    // levels; the edges arrive in the same order, so the succ and pred
+    // lists are the ones `add_edge` builds.
+    let mut stamp = vec![u32::MAX; segments.len()];
     for (s_idx, seg) in segments.iter().enumerate() {
+        let s = s_idx as u32;
+        let q = serial_pred[s_idx];
+        if q != u32::MAX {
+            stamp[q as usize] = s;
+        }
         for &t in &seg.tasks {
             for &(u, _) in dag.preds(t) {
                 let us = task_segment[u.index()];
-                if us != s_idx as u32 {
-                    pdag.add_edge(NodeId(us), NodeId(s_idx as u32));
+                if us != s && stamp[us as usize] != s {
+                    stamp[us as usize] = s;
+                    pdag.add_new_edge(NodeId(us), NodeId(s));
                 }
             }
         }
@@ -304,6 +320,67 @@ mod tests {
                 c_bytes
             );
             assert!(stats.ckpt_files > 0);
+        }
+    }
+
+    /// The segment graph's edges as `ProbDag::add_edge`, with its
+    /// duplicate scan, builds them from the same segments.
+    fn edges_via_add_edge(dag: &mspg::Dag, sched: &Schedule, sg: &SegmentGraph) -> ProbDag {
+        let mut g = ProbDag::new();
+        for v in sg.pdag.node_ids() {
+            g.add_node(sg.pdag.dist(v).clone());
+        }
+        for p in 0..sched.n_procs {
+            let mut prev: Option<u32> = None;
+            for &sc_idx in &sched.proc_chains[p] {
+                for &t in &sched.superchains[sc_idx].tasks {
+                    let s = sg.task_segment[t.index()];
+                    if let Some(q) = prev.filter(|&q| q != s) {
+                        g.add_edge(NodeId(q), NodeId(s));
+                    }
+                    prev = Some(s);
+                }
+            }
+        }
+        for (s, seg) in sg.segments.iter().enumerate() {
+            for &t in &seg.tasks {
+                for &(u, _) in dag.preds(t) {
+                    let us = sg.task_segment[u.index()];
+                    if us != s as u32 {
+                        g.add_edge(NodeId(us), NodeId(s as u32));
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn stamped_edges_match_add_edge() {
+        let classes = [
+            WorkflowClass::Montage,
+            WorkflowClass::Genome,
+            WorkflowClass::Ligo,
+            WorkflowClass::Cybershake,
+        ];
+        for class in classes {
+            for size in [50, 300, 1000] {
+                let w = generate(class, size, 9);
+                let sched = allocate(&w, 18, &AllocateConfig::default());
+                for pfail in [1e-3, 1e-2] {
+                    let lambda = crate::pfail::lambda_from_pfail(pfail, w.dag.mean_weight());
+                    let ctx = CostCtx::exponential(&w.dag, lambda, 1e8);
+                    for plan in [plan_some(&ctx, &sched), plan_all(&w.dag)] {
+                        let sg = coalesce(&ctx, &sched, &plan);
+                        let want = edges_via_add_edge(&w.dag, &sched, &sg);
+                        let what = format!("{class:?}-{size} pfail {pfail}");
+                        for v in sg.pdag.node_ids() {
+                            assert_eq!(sg.pdag.succs(v), want.succs(v), "{what}");
+                            assert_eq!(sg.pdag.preds(v), want.preds(v), "{what}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -18,9 +18,9 @@
 //! every line it emits so a malformed trace can never be written.
 //!
 //! [`canonicalize`] renders a span list as an indented tree with ids
-//! and durations stripped, batch roots sorted by `ord`, and memoized
-//! resolutions normalized (`executed`/`cached` both print `resolved`,
-//! with their children pruned). That is exactly the part of a trace
+//! and durations stripped, batch roots and grid cells sorted by `ord`,
+//! and memoized resolutions normalized (`executed`/`cached` both print
+//! `resolved`, with their children pruned). That is exactly the part of a trace
 //! the determinism contract pins across thread budgets: *which*
 //! session resolves an artifact from the store versus computes it is
 //! scheduling-dependent by design (memoization decides who computes,
@@ -308,7 +308,8 @@ pub fn write_file(path: &std::path::Path, spans: &[SpanRecord]) -> std::io::Resu
 /// everything the determinism contract does not pin:
 ///
 /// * ids and all timing fields are dropped;
-/// * roots sort by `(ord, name, key)` — batch order, not thread order;
+/// * roots sort by `(ord, name, key)`, and siblings that carry an `ord`
+///   sort by it — batch order, not thread order;
 /// * memoized resolutions (`resolve.*` spans) print `resolved` for
 ///   both `executed` and `cached`, and their children are pruned
 ///   (which session computes an artifact is scheduling-dependent);
@@ -328,6 +329,12 @@ pub fn canonicalize(spans: &[SpanRecord]) -> String {
         }
     }
     roots.sort_by_key(|r| (r.ord.unwrap_or(u64::MAX), r.name, r.key));
+    // Siblings that carry an `ord` (a grid's cells) sort by it too: pool
+    // threads open them in scheduling order, so their ids are not batch
+    // order. The sort is stable, so the rest keep their program order.
+    for siblings in children.values_mut() {
+        siblings.sort_by_key(|r| r.ord.unwrap_or(u64::MAX));
+    }
     let mut out = String::new();
     fn emit(
         r: &SpanRecord,
@@ -489,6 +496,23 @@ mod tests {
         assert_eq!(
             "query ord=0\n  resolve.placement outcome=failed attempts=3\nquery ord=1\n",
             text
+        );
+    }
+
+    #[test]
+    fn canonicalizer_orders_cells_by_ord() {
+        // A pool thread opened cell 1's span before cell 0's; the cells'
+        // own children keep their program order.
+        let grid = rec(1, None, "figure");
+        let mut c1 = rec(2, Some(1), "cell");
+        c1.ord = Some(1);
+        let mut c0 = rec(3, Some(1), "cell");
+        c0.ord = Some(0);
+        let curve = rec(4, Some(3), "stage.curve");
+        let placement = rec(5, Some(3), "stage.placement");
+        assert_eq!(
+            "figure\n  cell ord=0\n    stage.curve\n    stage.placement\n  cell ord=1\n",
+            canonicalize(&[grid, c1, c0, curve, placement])
         );
     }
 

@@ -6,8 +6,7 @@
 //! so the sum's mean and variance are exact and, by the CLT, the sum is
 //! well approximated by a normal. PathApprox therefore:
 //!
-//! 1. extracts the `K` paths with the largest expected lengths via a
-//!    K-best dynamic program over the topological order (`O(K·(V+E))`);
+//! 1. extracts the `K` paths with the largest expected lengths;
 //! 2. models each as a normal with its exact mean/variance;
 //! 3. combines them with Clark's maximum, using the covariance induced by
 //!    shared nodes (paths through common ancestors are positively
@@ -20,24 +19,69 @@
 //! dominated with overwhelming probability, which is why §VI-B finds the
 //! method both fastest and closest to Monte Carlo.
 //!
+//! ## The K best paths, lazily
+//!
+//! Every node `v` has a list of the paths ending at it, best mean first,
+//! capped at `K` entries. Entry `j + 1` of `v`'s list is the best of a
+//! candidate heap holding, per predecessor slot, the next path of that
+//! predecessor not yet extended to `v`, keyed `(pred mean, slot)`, max
+//! first. (An eager K-way merge keys on `(pred mean, slot, index)`, but
+//! with one candidate per slot the index never decides.) The keys are
+//! unique, so the pop order depends only on the heap's contents. The
+//! lists are built on demand with the recursive enumeration algorithm
+//! (Jiménez & Marzal, WAE 1999):
+//!
+//! - One forward sweep in topological order gives every node its best
+//!   path, the argmax over predecessors of `(mean, slot)`, and computes
+//!   `CP_low` and `CP_high` on the way: O(V + E).
+//! - The global top `K` is a merge over the sinks, ordered by mean
+//!   descending (`total_cmp`), then sink id, then list index.
+//! - Asking `v` for its next entry pops `v`'s candidate heap after
+//!   offering it the path that follows, in its own predecessor's list,
+//!   the prefix of `v`'s last entry. The heap is built, by heapify in
+//!   O(P), only when `v` is first asked for a second entry. Computing
+//!   the offered path may ask that predecessor for its next entry, and
+//!   so on back along one path; the walk keeps an explicit stack, so a
+//!   171,571-node chain does not recurse.
+//!
+//! Each list is therefore a prefix of the list an eager K-best dynamic
+//! program builds (each node's `K` best by a K-way merge over its
+//! predecessors, then a stable sort of all sink entries): the heaps hold
+//! the same candidates when they pop. Path means and variances are summed
+//! in the same order, so they have the same bits, and every list is
+//! non-increasing in mean (rounding is monotone), so the sink merge picks
+//! the entries the stable sort keeps. The work is O(V + E) for the sweep,
+//! plus O(P) per node asked for a second path, plus O(log P) per entry
+//! computed. Each of the `K` picks computes at most one entry per node
+//! of one path, so at most `K · D` entries are computed, `D` being the
+//! node count of the longest path, against the eager program's `K`
+//! entries at every node.
+//!
+//! The fold of step 3 skips every path pair that cannot change its
+//! result; `Scratch::fold` states why that is exact.
+//!
 //! ## Allocation discipline
 //!
-//! The K-best DP is the steady-state assess loop's inner kernel (it runs
-//! once per strategy per grid cell), so all of its working memory lives
-//! in a [`PathApprox`]-owned scratch reused across runs: per-node
-//! candidate lists are slices of one flat arena (`start[v] ± len[v]`
-//! instead of a `Vec<Vec<_>>` per run), the K-way-merge heap, the path
-//! bitsets, and the topological-order buffers all keep their high-water
-//! allocations. The candidate-generation order is identical to the
-//! historical nested-`Vec` implementation, so estimates are bit-for-bit
-//! unchanged.
+//! The evaluator runs once per strategy per grid cell and once per
+//! what-if first visit, so its working memory lives in a
+//! [`PathApprox`]-owned scratch reused across runs, and every buffer
+//! keeps its high-water allocation. Storage is flat: every list entry
+//! of every node lives in one arena (node `v`'s best path at position
+//! `v`, later entries appended and chained by position); every candidate
+//! heap is a region of one buffer, never larger than the node's
+//! in-degree; per-node state, the enumeration stack, the path bitsets
+//! and the topological-order buffers are plain vectors. No run allocates
+//! per node.
 
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use crate::normal::clark_max_corr;
 use crate::pdag::{NodeId, ProbDag};
 use crate::Evaluator;
+
+#[cfg(test)]
+mod reference;
 
 /// The PathApprox estimator. Carries its reusable scratch; cloning
 /// yields a fresh (empty) scratch with the same configuration.
@@ -50,9 +94,12 @@ pub struct PathApprox {
 
 impl Default for PathApprox {
     fn default() -> Self {
-        // 64 saturates small graphs but visibly underestimates the maximum
-        // on ~300-node-wide levels (Genome at high pfail: −3% vs Monte
-        // Carlo); 256 is within 0.3% of Monte Carlo there and still cheap.
+        // K = 256 does not bring the estimate close to Monte Carlo on
+        // wide graphs at high pfail: at pfail 0.01, E4 reads it 3.3–4.1%
+        // low on Genome-300 and 6.8–7.8% low on Genome-1000. Moving K
+        // anywhere from 64 to 4096 shifts that error by at most 0.52
+        // points, so the per-path normal, not K, is the cause (ROADMAP
+        // item 2 tracks it).
         PathApprox::with_k(256)
     }
 }
@@ -63,16 +110,53 @@ impl Clone for PathApprox {
     }
 }
 
-/// One end of a candidate path in the K-best DP.
+/// Arena link that points nowhere: no prefix, or the end of a list.
+const NONE: u32 = u32::MAX;
+/// Arena link not computed yet: the list may have a next entry.
+const PENDING: u32 = u32::MAX - 1;
+
+/// One entry of a node's K-best list: a path ending at that node.
 #[derive(Clone, Copy, Debug, Default)]
 struct PathEnd {
     /// Exact mean of the path's duration sum.
     mean: f64,
     /// Exact variance of the path's duration sum.
     var: f64,
-    /// Predecessor node and index into its candidate list (`None` for a
-    /// path starting at this node).
-    parent: Option<(NodeId, u32)>,
+    /// The node the path ends at.
+    node: u32,
+    /// Arena position of the path minus its last node (an entry of the
+    /// predecessor at `slot`), or `NONE` for a one-node path.
+    parent: u32,
+    /// Predecessor slot the path enters its last node through.
+    slot: u32,
+    /// Arena position of the next entry of the same list, `PENDING` or
+    /// `NONE`.
+    next: u32,
+}
+
+/// A heap entry: the path at arena position `pos`, ranked by
+/// `(mean, tag)`, max first. In a node's heap `tag` is the predecessor
+/// slot; in the sink merge it is `!sink`, so equal means pop the lowest
+/// sink id first.
+#[derive(Clone, Copy, Debug)]
+struct Cand {
+    mean: f64,
+    tag: u32,
+    pos: u32,
+}
+
+/// Enumeration state of one node.
+#[derive(Clone, Copy, Debug)]
+struct NodeState {
+    /// Arena position of the list's last computed entry.
+    tail: u32,
+    /// Entries computed.
+    len: u32,
+    /// Start of the node's candidate heap in `Scratch::heaps`, `NONE`
+    /// until the node is first asked for a second entry.
+    heap_at: u32,
+    /// Candidates in the heap.
+    heap_len: u32,
 }
 
 /// Reusable working memory of one [`PathApprox`] (see the module docs).
@@ -82,18 +166,27 @@ struct Scratch {
     order: Vec<NodeId>,
     indeg: Vec<usize>,
     ready: Vec<NodeId>,
-    /// Flat arena of per-node candidate lists.
+    /// Per-node duration mean and variance, computed once per run.
+    mean: Vec<f64>,
+    var: Vec<f64>,
+    /// Per-node completion time with every node at its low and at its
+    /// high duration.
+    finish: Vec<(f64, f64)>,
+    /// Every computed list entry; node `v`'s best path is at position `v`.
     arena: Vec<PathEnd>,
-    /// Arena offset of each node's list.
-    start: Vec<u32>,
-    /// Length of each node's list.
-    len: Vec<u32>,
-    /// K-way merge heap of (mean, pred-slot, index-into-pred-list).
-    heap: BinaryHeap<(OrdF64, u32, u32)>,
-    /// Global K best complete paths (sink, index, mean, var).
-    best: Vec<(NodeId, u32, f64, f64)>,
+    nodes: Vec<NodeState>,
+    /// Candidate heaps, one region per node that has built one.
+    heaps: Vec<Cand>,
+    /// The sink merge's heap.
+    sinks: Vec<Cand>,
+    /// Nodes waiting for a predecessor's next entry.
+    stack: Vec<u32>,
+    /// Arena positions of the selected paths, best first.
+    best: Vec<u32>,
     /// Flat per-path node bitsets (`best.len() × words`).
     bits: Vec<u64>,
+    /// Per selected path, the sum of its node variances in ascending id.
+    asc: Vec<f64>,
 }
 
 impl PathApprox {
@@ -107,164 +200,366 @@ impl PathApprox {
 
     /// Estimated expected makespan.
     pub fn run(&self, dag: &ProbDag) -> f64 {
-        let n = dag.n_nodes();
-        if n == 0 {
+        if dag.n_nodes() == 0 {
             return 0.0;
         }
-        let k = self.k_paths.max(1);
-        let mut guard = self.scratch.borrow_mut();
-        let Scratch {
-            order,
-            indeg,
-            ready,
-            arena,
-            start,
-            len,
-            heap,
-            best,
-            bits,
-        } = &mut *guard;
-        dag.topo_order_into(order, indeg, ready);
-        // K-best expected-length paths ending at each node. Each node's
-        // list is sorted by decreasing mean, so the k best extensions are
-        // obtained by a k-way merge over the predecessor lists — O((P+k)
-        // log P) per node instead of sorting P·k candidates, which matters
-        // on the complete-bipartite levels of Montage-like graphs.
-        arena.clear();
-        start.clear();
-        start.resize(n, 0);
-        len.clear();
-        len.resize(n, 0);
-        for &v in order.iter() {
-            let m_v = dag.dist(v).mean();
-            let var_v = dag.dist(v).variance();
-            let preds = dag.preds(v);
-            let at = arena.len() as u32;
-            start[v.index()] = at;
-            if preds.is_empty() {
-                arena.push(PathEnd {
-                    mean: m_v,
-                    var: var_v,
-                    parent: None,
-                });
-            } else {
-                heap.clear();
-                for (slot, &u) in preds.iter().enumerate() {
-                    if len[u.index()] > 0 {
-                        let pe = arena[start[u.index()] as usize];
-                        heap.push((OrdF64(pe.mean), slot as u32, 0));
-                    }
-                }
-                while (arena.len() as u32 - at) < k as u32 {
-                    let Some((_, slot, idx)) = heap.pop() else {
-                        break;
-                    };
-                    let u = preds[slot as usize];
-                    let pe = arena[(start[u.index()] + idx) as usize];
-                    arena.push(PathEnd {
-                        mean: pe.mean + m_v,
-                        var: pe.var + var_v,
-                        parent: Some((u, idx)),
-                    });
-                    if idx + 1 < len[u.index()] {
-                        let next = arena[(start[u.index()] + idx + 1) as usize];
-                        heap.push((OrdF64(next.mean), slot, idx + 1));
-                    }
-                }
-            }
-            len[v.index()] = arena.len() as u32 - at;
-        }
-        // Global K best complete paths (over all sinks).
-        best.clear();
-        for v in dag.node_ids() {
-            if !dag.succs(v).is_empty() {
-                continue;
-            }
-            for i in 0..len[v.index()] {
-                let pe = arena[(start[v.index()] + i) as usize];
-                best.push((v, i, pe.mean, pe.var));
-            }
-        }
-        best.sort_by(|a, b| b.2.total_cmp(&a.2));
-        best.truncate(k);
-        // Reconstruct node sets (bitsets) for covariance computation.
-        let words = n.div_ceil(64);
-        bits.clear();
-        bits.resize(best.len() * words, 0);
-        for (p, &(v, i, _, _)) in best.iter().enumerate() {
-            let path_bits = &mut bits[p * words..(p + 1) * words];
-            let (mut node, mut idx) = (v, i);
-            loop {
-                path_bits[node.index() / 64] |= 1u64 << (node.index() % 64);
-                match arena[(start[node.index()] + idx) as usize].parent {
-                    Some((u, j)) => {
-                        node = u;
-                        idx = j;
-                    }
-                    None => break,
-                }
-            }
-        }
-        // Sequential Clark max in decreasing-mean order. The running max
-        // is not a path, so its covariance with the next candidate is
-        // approximated by the candidate's largest shared variance with any
-        // already-folded path: near-duplicate paths (sharing almost all
-        // nodes) then contribute almost nothing, while genuinely
-        // independent branches contribute their full Clark increment.
-        let (mut m, mut var) = (best[0].2, best[0].3);
-        for j in 1..best.len() {
-            let cov = (0..j)
-                .map(|i| {
-                    shared_variance(
-                        dag,
-                        &bits[i * words..(i + 1) * words],
-                        &bits[j * words..(j + 1) * words],
-                    )
-                })
-                .fold(0.0f64, f64::max)
-                .min(var)
-                .min(best[j].3);
-            let (nm, nv) = clark_max_corr(m, var, best[j].2, best[j].3, cov);
-            m = nm;
-            var = nv;
-        }
+        let k = self.k_paths.clamp(1, u32::MAX as usize) as u32;
+        let mut s = self.scratch.borrow_mut();
+        let (cp_low, cp_high) = s.sweep(dag, k);
+        s.select(dag, k);
+        s.mark_paths(dag.n_nodes());
         // The makespan is a.s. within [CP_low, CP_high]; the normal
         // approximation can stray slightly, so clamp.
-        m.clamp(dag.makespan_low(), dag.makespan_high())
+        s.fold().clamp(cp_low, cp_high)
     }
 }
 
-/// `f64` ordered by `total_cmp` (heap key for the k-way merge).
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct OrdF64(f64);
+impl Scratch {
+    /// The forward sweep: every node's best path, the per-node moments,
+    /// and `(CP_low, CP_high)`. The bounds take the same maxima in the
+    /// same order as [`ProbDag::makespan_low`] and
+    /// [`ProbDag::makespan_high`], so they have the same bits.
+    fn sweep(&mut self, dag: &ProbDag, k: u32) -> (f64, f64) {
+        let n = dag.n_nodes();
+        dag.topo_order_into(&mut self.order, &mut self.indeg, &mut self.ready);
+        self.mean.resize(n, 0.0);
+        self.var.resize(n, 0.0);
+        self.finish.resize(n, (0.0, 0.0));
+        self.arena.clear();
+        self.arena.resize(n, PathEnd::default());
+        self.nodes.clear();
+        self.nodes.resize(
+            n,
+            NodeState {
+                tail: 0,
+                len: 1,
+                heap_at: NONE,
+                heap_len: 0,
+            },
+        );
+        self.heaps.clear();
+        let (mut cp_low, mut cp_high) = (0.0f64, 0.0f64);
+        for &v in &self.order {
+            let d = dag.dist(v);
+            let (m_v, var_v) = (d.mean(), d.variance());
+            let (mut low, mut high) = (0.0f64, 0.0f64);
+            let mut best: Option<(u32, usize)> = None;
+            for (slot, &u) in dag.preds(v).iter().enumerate() {
+                let (f_low, f_high) = self.finish[u.index()];
+                low = low.max(f_low);
+                high = high.max(f_high);
+                let mean = self.arena[u.index()].mean;
+                // Ties go to the later slot, as in a max-heap on
+                // (mean, slot).
+                if best.is_none_or(|(_, b)| mean.total_cmp(&self.arena[b].mean).is_ge()) {
+                    best = Some((slot as u32, u.index()));
+                }
+            }
+            let finish = (low + d.low(), high + d.high());
+            self.finish[v.index()] = finish;
+            cp_low = cp_low.max(finish.0);
+            cp_high = cp_high.max(finish.1);
+            self.mean[v.index()] = m_v;
+            self.var[v.index()] = var_v;
+            self.nodes[v.index()].tail = v.0;
+            self.arena[v.index()] = match best {
+                None => PathEnd {
+                    mean: m_v,
+                    var: var_v,
+                    node: v.0,
+                    parent: NONE,
+                    slot: NONE,
+                    next: NONE,
+                },
+                Some((slot, u)) => PathEnd {
+                    mean: self.arena[u].mean + m_v,
+                    var: self.arena[u].var + var_v,
+                    node: v.0,
+                    parent: u as u32,
+                    slot,
+                    next: if k == 1 { NONE } else { PENDING },
+                },
+            };
+        }
+        (cp_low, cp_high)
+    }
 
-impl Eq for OrdF64 {}
+    /// Merges the sinks' lists into `best`, the global top `k`.
+    fn select(&mut self, dag: &ProbDag, k: u32) {
+        self.sinks.clear();
+        for v in dag.node_ids().filter(|&v| dag.succs(v).is_empty()) {
+            self.sinks.push(Cand {
+                mean: self.arena[v.index()].mean,
+                tag: !v.0,
+                pos: v.0,
+            });
+        }
+        heapify(&mut self.sinks);
+        self.best.clear();
+        let mut len = self.sinks.len();
+        let mut offer = None;
+        loop {
+            let (popped, rest) = pop_offering(&mut self.sinks[..len], offer);
+            len = rest;
+            let Some(c) = popped else { break };
+            self.best.push(c.pos);
+            if self.best.len() == k as usize {
+                break;
+            }
+            if self.arena[c.pos as usize].next == PENDING {
+                self.extend(dag, k, !c.tag);
+            }
+            let next = self.arena[c.pos as usize].next;
+            offer = (next != NONE).then(|| Cand {
+                mean: self.arena[next as usize].mean,
+                tag: c.tag,
+                pos: next,
+            });
+        }
+    }
 
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Computes the entry after the tail of `v`'s list (or ends the
+    /// list), first computing, on an explicit stack, the predecessor
+    /// entries that step needs.
+    fn extend(&mut self, dag: &ProbDag, k: u32, v: u32) {
+        debug_assert!(self.stack.is_empty());
+        self.stack.push(v);
+        while let Some(&w) = self.stack.last() {
+            let tail = self.arena[self.nodes[w as usize].tail as usize];
+            // A node whose tail is PENDING is not a source, so its tail
+            // has a prefix; the entry after that prefix is offered next.
+            let prefix = self.arena[tail.parent as usize];
+            if prefix.next == PENDING {
+                self.stack.push(prefix.node);
+                continue;
+            }
+            self.stack.pop();
+            self.grow(dag, k, w as usize);
+        }
+    }
+
+    /// Appends the next entry to `v`'s list, or ends it. The entry after
+    /// the prefix of `v`'s tail must already be known.
+    fn grow(&mut self, dag: &ProbDag, k: u32, v: usize) {
+        let st = self.nodes[v];
+        let tail = self.arena[st.tail as usize];
+        let after = self.arena[tail.parent as usize].next;
+        debug_assert_ne!(after, PENDING);
+        let offer = (after != NONE).then(|| Cand {
+            mean: self.arena[after as usize].mean,
+            tag: tail.slot,
+            pos: after,
+        });
+        let at = if st.heap_at == NONE {
+            // First ask for a second entry: every other predecessor's
+            // best path, plus the offer from the slot already taken.
+            let at = self.heaps.len();
+            for (slot, &u) in dag.preds(NodeId(v as u32)).iter().enumerate() {
+                if slot as u32 != tail.slot {
+                    self.heaps.push(Cand {
+                        mean: self.arena[u.index()].mean,
+                        tag: slot as u32,
+                        pos: u.0,
+                    });
+                }
+            }
+            heapify(&mut self.heaps[at..]);
+            self.nodes[v].heap_at =
+                u32::try_from(at).expect("candidate heaps hold fewer than 2^32 - 1 entries");
+            self.nodes[v].heap_len = (self.heaps.len() - at) as u32;
+            at
+        } else {
+            st.heap_at as usize
+        };
+        let len = self.nodes[v].heap_len as usize;
+        let (popped, rest) = pop_offering(&mut self.heaps[at..at + len], offer);
+        self.nodes[v].heap_len = rest as u32;
+        let Some(c) = popped else {
+            self.arena[st.tail as usize].next = NONE;
+            return;
+        };
+        let pos = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&pos| pos < PENDING)
+            .expect("PathApprox arena positions fit below PENDING");
+        let from = self.arena[c.pos as usize];
+        self.arena.push(PathEnd {
+            mean: from.mean + self.mean[v],
+            var: from.var + self.var[v],
+            node: v as u32,
+            parent: c.pos,
+            slot: c.tag,
+            next: if st.len + 1 == k { NONE } else { PENDING },
+        });
+        self.arena[st.tail as usize].next = pos;
+        self.nodes[v].tail = pos;
+        self.nodes[v].len += 1;
+    }
+
+    /// Fills `bits` with each selected path's node set, and `asc` with
+    /// its variance sum.
+    fn mark_paths(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(self.best.len() * words, 0);
+        self.asc.clear();
+        for (p, &end) in self.best.iter().enumerate() {
+            let bits = &mut self.bits[p * words..(p + 1) * words];
+            let mut pos = end;
+            loop {
+                let e = self.arena[pos as usize];
+                bits[e.node as usize / 64] |= 1u64 << (e.node % 64);
+                if e.parent == NONE {
+                    break;
+                }
+                pos = e.parent;
+            }
+            self.asc.push(shared_variance(&self.var, bits, bits));
+        }
+    }
+
+    /// Sequential Clark max over the selected paths, best first. The
+    /// running max is not a path, so its covariance with the next
+    /// candidate `j` is approximated by `j`'s largest shared variance
+    /// with any already-folded path, capped by both variances:
+    /// near-duplicate paths (sharing almost all nodes) then contribute
+    /// almost nothing, while genuinely independent branches contribute
+    /// their full Clark increment.
+    ///
+    /// Most pairs cannot change that largest shared variance, and are
+    /// skipped, exactly. Let `asc(p)` be path `p`'s own variance sum,
+    /// added in ascending node id as [`shared_variance`] adds. Node
+    /// variances are non-negative and not NaN (`ProbDag::add_node`
+    /// asserts it). A subset of non-negative terms, added in the same
+    /// order, never sums to more than all of them: each partial sum of
+    /// the subset is ≤ the matching partial sum of the whole, because
+    /// rounding is monotone and adding a term ≥ 0 never lowers a sum. So
+    /// `shared(i, j) ≤ min(asc(i), asc(j))`, and with `mx` the largest
+    /// shared variance so far:
+    ///
+    /// - a path `i` with `asc(i) ≤ mx` cannot raise `mx`: it is skipped;
+    /// - once `mx ≥ asc(j)`, no later `i` can raise it: the scan stops;
+    /// - once `mx` exceeds `var` or `var_j`, raising it cannot change
+    ///   `mx.min(var).min(var_j)`: the scan stops. The test is strict so
+    ///   that a signed zero never decides a `min`.
+    ///
+    /// Every sum starts at `+0.0` and adds terms `≥ 0`, so none is
+    /// `-0.0`, and equal sums have equal bits. Each covariance, and so
+    /// the estimate, has the bits of the unpruned fold over every pair.
+    fn fold(&self) -> f64 {
+        let words = self.bits.len() / self.best.len();
+        let path = |p: usize| {
+            let e = self.arena[self.best[p] as usize];
+            (e.mean, e.var, &self.bits[p * words..(p + 1) * words])
+        };
+        let (mut m, mut var, _) = path(0);
+        for j in 1..self.best.len() {
+            let (m_j, var_j, bits_j) = path(j);
+            let mut mx = 0.0f64;
+            for i in 0..j {
+                if mx >= self.asc[j] || mx > var.min(var_j) {
+                    break;
+                }
+                if self.asc[i] > mx {
+                    mx = mx.max(shared_variance(&self.var, path(i).2, bits_j));
+                }
+            }
+            let cov = mx.min(var).min(var_j);
+            (m, var) = clark_max_corr(m, var, m_j, var_j, cov);
+        }
+        m
     }
 }
 
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Sum of node variances over the intersection of two path node sets — the
-/// exact covariance of the two path sums.
-fn shared_variance(dag: &ProbDag, a: &[u64], b: &[u64]) -> f64 {
+/// Sum of node variances over the intersection of two path node sets, in
+/// ascending node id — the exact covariance of the two path sums.
+fn shared_variance(node_var: &[f64], a: &[u64], b: &[u64]) -> f64 {
     let mut cov = 0.0;
     for (w, (&wa, &wb)) in a.iter().zip(b.iter()).enumerate() {
         let mut inter = wa & wb;
         while inter != 0 {
             let bit = inter.trailing_zeros() as usize;
-            cov += dag.dist(NodeId((w * 64 + bit) as u32)).variance();
+            cov += node_var[w * 64 + bit];
             inter &= inter - 1;
         }
     }
     cov
+}
+
+/// Whether `a` pops before `b`.
+#[inline]
+fn above(a: &Cand, b: &Cand) -> bool {
+    a.mean.total_cmp(&b.mean).then(a.tag.cmp(&b.tag)) == Ordering::Greater
+}
+
+/// Restores the heap order of `h` below position `i`.
+fn sift_down(h: &mut [Cand], mut i: usize) {
+    loop {
+        let l = 2 * i + 1;
+        if l >= h.len() {
+            return;
+        }
+        let c = if l + 1 < h.len() && above(&h[l + 1], &h[l]) {
+            l + 1
+        } else {
+            l
+        };
+        if !above(&h[c], &h[i]) {
+            return;
+        }
+        h.swap(i, c);
+        i = c;
+    }
+}
+
+/// Orders `h` as a max-heap in O(len).
+fn heapify(h: &mut [Cand]) {
+    for i in (0..h.len() / 2).rev() {
+        sift_down(h, i);
+    }
+}
+
+/// Pops the best of the heap `h` plus `offer`, and returns it with the
+/// heap's new length: the rest stays in `h`, which never grows. The
+/// result is what a push of `offer` and then a pop would give.
+fn pop_offering(h: &mut [Cand], offer: Option<Cand>) -> (Option<Cand>, usize) {
+    match offer {
+        Some(c) if h.is_empty() || above(&c, &h[0]) => (Some(c), h.len()),
+        Some(c) => {
+            let top = std::mem::replace(&mut h[0], c);
+            sift_down(h, 0);
+            (Some(top), h.len())
+        }
+        None if h.is_empty() => (None, 0),
+        None => {
+            let last = h.len() - 1;
+            h.swap(0, last);
+            sift_down(&mut h[..last], 0);
+            (Some(h[last]), last)
+        }
+    }
+}
+
+#[cfg(test)]
+impl PathApprox {
+    /// The paths the last [`PathApprox::run`] selected, best first, as
+    /// (sink, index in the sink's list, mean bits, variance bits).
+    fn selection(&self) -> Vec<(u32, u32, u64, u64)> {
+        let s = self.scratch.borrow();
+        s.best
+            .iter()
+            .map(|&pos| {
+                let sink = s.arena[pos as usize].node;
+                let (mut at, mut index) = (sink, 0);
+                while at != pos {
+                    at = s.arena[at as usize].next;
+                    index += 1;
+                }
+                let e = s.arena[pos as usize];
+                (sink, index, e.mean.to_bits(), e.var.to_bits())
+            })
+            .collect()
+    }
 }
 
 impl Evaluator for PathApprox {

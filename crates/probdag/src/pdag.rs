@@ -107,8 +107,22 @@ impl ProbDag {
     }
 
     /// Adds a node with the given duration distribution.
+    ///
+    /// Panics unless a `TwoState` is a distribution: `p_high` in
+    /// `[0, 1]`, `low` and `high` finite, and `high - low` finite. Then
+    /// neither its mean nor its variance is NaN, and its variance is not
+    /// negative, which the evaluators rely on.
     pub fn add_node(&mut self, dist: NodeDist) -> NodeId {
         assert!(self.dists.len() < u32::MAX as usize);
+        if let NodeDist::TwoState { low, high, p_high } = dist {
+            assert!(
+                (0.0..=1.0).contains(&p_high)
+                    && low.is_finite()
+                    && high.is_finite()
+                    && (high - low).is_finite(),
+                "TwoState {{ low: {low}, high: {high}, p_high: {p_high} }} is not a distribution"
+            );
+        }
         let id = NodeId(self.dists.len() as u32);
         self.dists.push(dist);
         self.succ.push(Vec::new());
@@ -123,6 +137,17 @@ impl ProbDag {
             self.succ[u.index()].push(v);
             self.pred[v.index()].push(u);
         }
+    }
+
+    /// Adds an edge `u → v` the caller knows is new, without
+    /// [`ProbDag::add_edge`]'s linear scan for a duplicate: the lists
+    /// come out as `add_edge` would leave them. Debug builds check that
+    /// the edge is new.
+    pub fn add_new_edge(&mut self, u: NodeId, v: NodeId) {
+        assert_ne!(u, v, "self-loop");
+        debug_assert!(!self.succ[u.index()].contains(&v), "duplicate edge");
+        self.succ[u.index()].push(v);
+        self.pred[v.index()].push(u);
     }
 
     /// Number of nodes.
@@ -296,6 +321,33 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(a, b);
         assert_eq!(g.n_edges(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a distribution")]
+    fn p_high_outside_unit_interval_panics() {
+        ProbDag::new().add_node(two(1.0, 1.5, 1.25));
+    }
+
+    #[test]
+    fn add_node_rejects_every_non_distribution() {
+        let bad = [
+            two(1.0, 1.5, f64::NAN),
+            two(1.0, 1.5, -0.1),
+            two(f64::NAN, 1.5, 0.1),
+            two(1.0, f64::INFINITY, 0.1),
+            two(-f64::MAX, f64::MAX, 0.0),
+        ];
+        for d in bad {
+            let r = std::panic::catch_unwind(|| ProbDag::new().add_node(d.clone()));
+            assert!(r.is_err(), "{d:?} was accepted");
+        }
+        // The edges of the range are distributions.
+        let mut g = ProbDag::new();
+        g.add_node(two(1.0, 1.5, 0.0));
+        g.add_node(two(1.0, 1.5, 1.0));
+        g.add_node(NodeDist::Certain(2.0));
+        assert_eq!(g.n_nodes(), 3);
     }
 
     #[test]

@@ -333,7 +333,8 @@ impl PolicySpec {
 /// Which analytic evaluator estimates the expected makespan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvalSpec {
-    /// The renewal path approximation (the repo's workhorse).
+    /// The longest-paths approximation of Casanova, Herrmann & Robert
+    /// (the repo's workhorse).
     PathApprox,
     /// Sculli's normal-approximation sweep.
     Normal,
