@@ -1,9 +1,10 @@
 //! Criterion bench: the four expected-makespan evaluators of §VI-B on a
 //! coalesced Genome-300 CkptAll graph (the paper's speed comparison:
-//! PathApprox ≪ Normal < Dodin ≪ MonteCarlo).
+//! PathApprox ≪ Normal < Dodin ≪ MonteCarlo), PathApprox on Montage-300,
+//! and the coalescing that builds their input graphs.
 
 use ckpt_bench::{instance, pipeline_for};
-use ckpt_core::Strategy;
+use ckpt_core::{coalesce, coalesce_topology, CostCtx, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
@@ -69,5 +70,36 @@ fn bench_pathapprox_montage(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_evaluators, bench_pathapprox_montage);
+fn bench_coalesce_montage(c: &mut Criterion) {
+    // The first-visit what-if instance (Montage-300, seed 9, CCR 0.05,
+    // 18 processors, pfail 1e-3). `coalesce` builds the segment graph
+    // from scratch, as a one-shot pipeline does; `with-model` re-models
+    // a stored topology of the same plan, which is all a what-if
+    // session runs when a λ drift keeps the placement.
+    let w = instance(pegasus::WorkflowClass::Montage, 300, 0.05, 9);
+    let pipe = pipeline_for(&w, 18, 1e-3, 9);
+    let ctx = CostCtx::with_model(&w.dag, pipe.platform.model, pipe.platform.bandwidth);
+    let mut group = c.benchmark_group("coalesce-montage300");
+    for (name, strategy) in [
+        ("ckptsome", Strategy::CkptSome),
+        ("ckptall", Strategy::CkptAll),
+    ] {
+        let plan = pipe.plan(strategy);
+        let topo = coalesce_topology(&w.dag, ctx.bandwidth, &pipe.schedule, &plan);
+        group.bench_function(format!("{name}/coalesce"), |b| {
+            b.iter(|| coalesce(&ctx, &pipe.schedule, &plan))
+        });
+        group.bench_function(format!("{name}/with-model"), |b| {
+            b.iter(|| topo.with_model(&ctx))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_evaluators,
+    bench_pathapprox_montage,
+    bench_coalesce_montage
+);
 criterion_main!(benches);

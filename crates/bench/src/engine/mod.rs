@@ -135,10 +135,13 @@ impl Default for EngineConfig {
 /// Per-cell execution context: the run's shared store and the cell's
 /// nested thread budgets.
 ///
-/// The store memoizes only what cells share — each lane's unscaled
-/// workflow and its `(procs, linearizer)` schedules. Curves, placements,
-/// segment graphs and evaluations are per-cell: no two cells of a grid
-/// share a `(procs, pfail, ccr)` point.
+/// The store memoizes each lane's unscaled workflow and its
+/// `(procs, linearizer)` schedules. Curves, placements and evaluations
+/// are per-cell: no two cells of a grid share a `(procs, pfail, ccr)`
+/// point. Segment topologies could be shared — a CkptAll topology reads
+/// no pfail, so the cells of one `(procs, ccr)` point place the same
+/// one — but cells build their graphs through [`Pipeline`], which
+/// coalesces each one afresh, and the store holds none.
 pub struct CellCtx<'e> {
     store: &'e Store,
     /// Thread budget for Monte Carlo work nested inside one cell

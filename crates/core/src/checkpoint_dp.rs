@@ -267,6 +267,7 @@ pub fn segment_cost(ctx: &CostCtx<'_>, chain: &[TaskId], lo: usize, hi: usize) -
 /// dedup is O(1) per check via epoch-stamped id sets, so the cost of a
 /// segment of `k` tasks touching `m` files is `O(k + m)` rather than the
 /// `O(m²)` of the former `Vec::contains` scans.
+#[inline]
 pub fn segment_cost_reusing(
     ctx: &CostCtx<'_>,
     chain: &[TaskId],
@@ -274,8 +275,20 @@ pub fn segment_cost_reusing(
     hi: usize,
     scratch: &mut SegmentCostScratch,
 ) -> SegmentCost {
+    segment_cost_at(ctx.dag, ctx.bandwidth, chain, lo, hi, scratch)
+}
+
+/// [`segment_cost_reusing`] from the two inputs it reads: the costs of
+/// a segment never depend on the failure model.
+pub(crate) fn segment_cost_at(
+    dag: &Dag,
+    bandwidth: f64,
+    chain: &[TaskId],
+    lo: usize,
+    hi: usize,
+    scratch: &mut SegmentCostScratch,
+) -> SegmentCost {
     assert!(lo <= hi && hi < chain.len());
-    let dag = ctx.dag;
     scratch.tasks.reset(dag.n_tasks());
     scratch.read.reset(dag.n_files());
     scratch.ckpt.reset(dag.n_files());
@@ -313,9 +326,9 @@ pub fn segment_cost_reusing(
         }
     }
     SegmentCost {
-        r: r_bytes / ctx.bandwidth,
+        r: r_bytes / bandwidth,
         w,
-        c: c_bytes / ctx.bandwidth,
+        c: c_bytes / bandwidth,
     }
 }
 

@@ -7,11 +7,21 @@
 //! first-order 2-state law of Eq. (2). The resulting DAG (segment
 //! dependence + same-processor serialization) is what the §II-B
 //! evaluators compute the expected makespan of.
+//!
+//! Coalescing runs in two passes. [`coalesce_topology`] builds the
+//! segments, their R/W/C costs and the edges from the workflow, the
+//! bandwidth, the schedule and the plan: none of that reads the failure
+//! model. [`SegmentGraph::with_model`] then writes each segment's
+//! two-state law, the one part that does. [`coalesce`] is the two in a
+//! row, so a caller holding a topology can re-model it for another
+//! failure model without coalescing again.
+
+use std::sync::Arc;
 
 use mspg::{Dag, TaskId};
 use probdag::{NodeDist, NodeId, ProbDag};
 
-use crate::checkpoint_dp::{segment_cost_reusing, CostCtx, IdSet, SegmentCost, SegmentCostScratch};
+use crate::checkpoint_dp::{segment_cost_at, CostCtx, IdSet, SegmentCost, SegmentCostScratch};
 use crate::schedule::Schedule;
 
 /// Per-task checkpoint decisions (indexed by task id): `ckpt_after[t]`
@@ -43,14 +53,20 @@ pub struct Segment {
 }
 
 /// The coalesced 2-state probabilistic DAG plus segment metadata.
+///
+/// A *topology* ([`coalesce_topology`]) is the graph of a platform that
+/// never fails: every node is `Certain` at its failure-free span.
+/// [`SegmentGraph::with_model`] turns it into the graph of a failure
+/// model; the per-model graphs of one topology share its segment
+/// metadata.
 #[derive(Clone, Debug)]
 pub struct SegmentGraph {
     /// One node per segment, same indexing as `segments`.
     pub pdag: ProbDag,
     /// Segment metadata.
-    pub segments: Vec<Segment>,
+    pub segments: Arc<Vec<Segment>>,
     /// Per task: owning segment index.
-    pub task_segment: Vec<u32>,
+    pub task_segment: Arc<Vec<u32>>,
 }
 
 /// Aggregate placement statistics of a segment graph — derived in one
@@ -71,6 +87,43 @@ pub struct PlacementStats {
 }
 
 impl SegmentGraph {
+    /// The per-model pass: this graph with every segment's two-state
+    /// law under `ctx`'s failure model (and curve). Only the node laws
+    /// read the model, so the edges are copied and the segment metadata
+    /// shared; `coalesce_topology` followed by `with_model(ctx)` is
+    /// `coalesce(ctx, …)` bit for bit.
+    pub fn with_model(&self, ctx: &CostCtx<'_>) -> SegmentGraph {
+        let mut pdag = self.pdag.clone();
+        pdag.set_dists(self.dists(ctx));
+        SegmentGraph {
+            pdag,
+            segments: Arc::clone(&self.segments),
+            task_segment: Arc::clone(&self.task_segment),
+        }
+    }
+
+    /// Each segment's first-order 2-state law (Eq. 2) under `ctx`:
+    /// `low = base`, `high = 1.5 × base`, `p_high` from the model, and
+    /// `Certain(base)` when the segment is empty or cannot fail.
+    fn dists(&self, ctx: &CostCtx<'_>) -> Vec<NodeDist> {
+        self.segments
+            .iter()
+            .map(|seg| {
+                let base = seg.cost.base();
+                let p_high = ctx.two_state_p_high(base);
+                if base == 0.0 || p_high == 0.0 {
+                    NodeDist::Certain(base)
+                } else {
+                    NodeDist::TwoState {
+                        low: base,
+                        high: 1.5 * base,
+                        p_high,
+                    }
+                }
+            })
+            .collect()
+    }
+
     /// Total checkpoint write time across segments (failure-free).
     pub fn total_checkpoint_time(&self) -> f64 {
         self.segments.iter().map(|s| s.cost.c).sum()
@@ -107,12 +160,32 @@ impl SegmentGraph {
     }
 }
 
-/// Builds the segment graph for a schedule and checkpoint plan.
+/// Builds the segment graph for a schedule and checkpoint plan under
+/// `ctx`'s failure model: the topology, then the two-state laws written
+/// in place.
 ///
 /// Every superchain must end in a checkpoint (the paper's
 /// crossover-dependency removal); this is asserted.
 pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> SegmentGraph {
-    let dag = ctx.dag;
+    let mut sg = coalesce_topology(ctx.dag, ctx.bandwidth, sched, plan);
+    let dists = sg.dists(ctx);
+    sg.pdag.set_dists(dists);
+    sg
+}
+
+/// The model-free segment topology of a schedule and checkpoint plan:
+/// segments, their R/W/C costs at `bandwidth`, and the serialization
+/// and data edges, with every node `Certain` at its failure-free span.
+/// It reads no failure model; [`SegmentGraph::with_model`] adds one.
+///
+/// Every superchain must end in a checkpoint (the paper's
+/// crossover-dependency removal); this is asserted.
+pub fn coalesce_topology(
+    dag: &Dag,
+    bandwidth: f64,
+    sched: &Schedule,
+    plan: &CheckpointPlan,
+) -> SegmentGraph {
     let mut segments: Vec<Segment> = Vec::new();
     let mut task_segment = vec![u32::MAX; dag.n_tasks()];
     let mut scratch = SegmentCostScratch::new();
@@ -126,7 +199,7 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
         for (k, &t) in sc.tasks.iter().enumerate() {
             if plan.ckpt_after[t.index()] {
                 let tasks = sc.tasks[lo..=k].to_vec();
-                let cost = segment_cost_reusing(ctx, &sc.tasks, lo, k, &mut scratch);
+                let cost = segment_cost_at(dag, bandwidth, &sc.tasks, lo, k, &mut scratch);
                 let seg_idx = segments.len() as u32;
                 for &x in &tasks {
                     task_segment[x.index()] = seg_idx;
@@ -144,18 +217,7 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
     // Build the probabilistic DAG.
     let mut pdag = ProbDag::new();
     for seg in &segments {
-        let base = seg.cost.base();
-        let p_high = ctx.two_state_p_high(base);
-        let dist = if base == 0.0 || p_high == 0.0 {
-            NodeDist::Certain(base)
-        } else {
-            NodeDist::TwoState {
-                low: base,
-                high: 1.5 * base,
-                p_high,
-            }
-        };
-        pdag.add_node(dist);
+        pdag.add_node(NodeDist::Certain(seg.cost.base()));
     }
     // Same-processor serialization edges. A segment's tasks run back to
     // back, so each segment has at most one serialization predecessor.
@@ -202,8 +264,8 @@ pub fn coalesce(ctx: &CostCtx<'_>, sched: &Schedule, plan: &CheckpointPlan) -> S
     }
     SegmentGraph {
         pdag,
-        segments,
-        task_segment,
+        segments: Arc::new(segments),
+        task_segment: Arc::new(task_segment),
     }
 }
 
@@ -382,6 +444,101 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Segments, task map, edge lists and node laws equal bit for bit.
+    fn assert_same_graph(a: &SegmentGraph, b: &SegmentGraph, what: &str) {
+        assert_eq!(a.segments.len(), b.segments.len(), "{what}: segments");
+        for (x, y) in a.segments.iter().zip(b.segments.iter()) {
+            assert_eq!((x.superchain, x.proc), (y.superchain, y.proc), "{what}");
+            assert_eq!(x.tasks, y.tasks, "{what}");
+            let bits = |c: &SegmentCost| [c.r.to_bits(), c.w.to_bits(), c.c.to_bits()];
+            assert_eq!(bits(&x.cost), bits(&y.cost), "{what}: costs");
+        }
+        assert_eq!(a.task_segment, b.task_segment, "{what}: task map");
+        assert_eq!(a.pdag.n_nodes(), b.pdag.n_nodes(), "{what}: nodes");
+        let bits = |d: &NodeDist| [d.low(), d.high(), d.p_high()].map(f64::to_bits);
+        for v in a.pdag.node_ids() {
+            assert_eq!(a.pdag.succs(v), b.pdag.succs(v), "{what}: succ {v:?}");
+            assert_eq!(a.pdag.preds(v), b.pdag.preds(v), "{what}: pred {v:?}");
+            let (x, y) = (a.pdag.dist(v), b.pdag.dist(v));
+            assert_eq!(
+                std::mem::discriminant(x),
+                std::mem::discriminant(y),
+                "{what}: law kind {v:?}"
+            );
+            assert_eq!(bits(x), bits(y), "{what}: law {v:?}");
+        }
+    }
+
+    /// `coalesce` is `coalesce_topology` then `with_model`, bit for bit,
+    /// for the memoryless model and for three whose `p_high` goes
+    /// through the renewal curve; and one topology re-modelled for every
+    /// model equals a fresh coalesce under each.
+    #[test]
+    fn topology_then_model_is_coalesce() {
+        use crate::failure_model::FailureModel;
+        use crate::platform::Platform;
+        use crate::stage::curve_stage;
+        let classes = [
+            WorkflowClass::Montage,
+            WorkflowClass::Genome,
+            WorkflowClass::Ligo,
+            WorkflowClass::Cybershake,
+        ];
+        let bw = 1e8;
+        for class in classes {
+            for size in [50, 300] {
+                let w = generate(class, size, 9);
+                let sched = allocate(&w, 18, &AllocateConfig::default());
+                let mean = w.dag.mean_weight();
+                for pfail in [1e-3, 1e-2] {
+                    let models = [
+                        FailureModel::exponential_from_pfail(pfail, mean),
+                        FailureModel::weibull_from_pfail(0.7, pfail, mean),
+                        FailureModel::weibull_from_pfail(2.0, pfail, mean),
+                        FailureModel::lognormal_from_pfail(1.0, pfail, mean),
+                    ];
+                    let curves: Vec<_> = models
+                        .iter()
+                        .map(|&m| curve_stage(&w.dag, &Platform::with_model(18, m, bw)).unwrap())
+                        .collect();
+                    let ctxs: Vec<_> = models
+                        .iter()
+                        .zip(&curves)
+                        .map(|(&m, c)| CostCtx::with_curve(&w.dag, m, bw, c.as_ref()))
+                        .collect();
+                    for (m, ctx) in ctxs.iter().enumerate() {
+                        for plan in [plan_some(ctx, &sched), plan_all(&w.dag)] {
+                            let topo = coalesce_topology(&w.dag, bw, &sched, &plan);
+                            for (m2, ctx2) in ctxs.iter().enumerate() {
+                                let what = format!(
+                                    "{class:?}-{size} pfail {pfail} plan of model {m}, \
+                                     {} ckpts, model {m2}",
+                                    plan.n_checkpoints()
+                                );
+                                let fresh = coalesce(ctx2, &sched, &plan);
+                                assert_same_graph(&fresh, &topo.with_model(ctx2), &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topology_is_the_never_failing_graph() {
+        let w = generate(WorkflowClass::Genome, 50, 4);
+        let sched = allocate(&w, 5, &AllocateConfig::default());
+        let ctx = CostCtx::exponential(&w.dag, 0.0, 1e7);
+        let plan = plan_some(&CostCtx::exponential(&w.dag, 1e-4, 1e7), &sched);
+        let topo = coalesce_topology(&w.dag, 1e7, &sched, &plan);
+        assert_same_graph(&coalesce(&ctx, &sched, &plan), &topo, "λ = 0");
+        // Per-model graphs share the topology's segment metadata.
+        let modelled = topo.with_model(&CostCtx::exponential(&w.dag, 1e-4, 1e7));
+        assert!(Arc::ptr_eq(&topo.segments, &modelled.segments));
+        assert!(Arc::ptr_eq(&topo.task_segment, &modelled.task_segment));
     }
 
     #[test]

@@ -27,16 +27,19 @@
 //!   them, so a rename must not invalidate anything (early cutoff).
 //! * [`model_fp`] hashes the failure-model variant and its exact
 //!   parameter bits; [`allocate_config_fp`] the linearizer tag and
-//!   seed.
+//!   seed; [`plan_fp`] a checkpoint plan's flags, so that two policies
+//!   (or two failure models) placing the same checkpoints share every
+//!   artifact downstream of the plan that does not read the model.
 //!
 //! Fingerprint equality is treated as content equality (64-bit FNV-1a;
 //! see DESIGN.md §10 for why that is acceptable here).
 
 use mspg::linearize::Linearizer;
 use mspg::{Mspg, Workflow};
-use seedmix::digest::Fnv1a;
+use seedmix::digest::{plan_digest, Fnv1a};
 
 use crate::allocate::AllocateConfig;
+use crate::coalesce::CheckpointPlan;
 use crate::failure_model::FailureModel;
 
 /// Domain-separation tags, one per fingerprinted artifact kind. Tags
@@ -51,6 +54,8 @@ pub mod tag {
     pub const MODEL: u64 = 0x4d4f_444c; // "MODL"
     /// Allocate (scheduling) configuration.
     pub const ALLOC_CFG: u64 = 0x414c_4346; // "ALCF"
+    /// Checkpoint plan.
+    pub const PLAN: u64 = 0x504c_414e; // "PLAN"
     /// Generic composition of stage-input fingerprints.
     pub const COMPOSE: u64 = 0x434f_4d50; // "COMP"
 }
@@ -171,6 +176,15 @@ pub fn allocate_config_fp(cfg: &AllocateConfig) -> u64 {
     h.finish()
 }
 
+/// Fingerprints a checkpoint plan: its length and the placement digest
+/// of its flags ([`plan_digest`], one word per flag — packing 64 flags
+/// to a word would let word-wise FNV-1a confuse flags that sit at the
+/// same high bit of different words).
+pub fn plan_fp(plan: &CheckpointPlan) -> u64 {
+    let flags = &plan.ckpt_after;
+    compose(tag::PLAN, &[flags.len() as u64, plan_digest(flags)])
+}
+
 /// Stable numeric tag of a linearizer (also the engine cache key part).
 pub fn linearizer_tag(l: Linearizer) -> u64 {
     match l {
@@ -263,6 +277,21 @@ mod tests {
         });
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn plan_fp_keys_on_every_flag_and_the_length() {
+        let plan = |flags: Vec<bool>| CheckpointPlan { ckpt_after: flags };
+        let base = plan(vec![true; 130]);
+        let mut seen = std::collections::HashSet::from([plan_fp(&base)]);
+        for i in [0, 63, 64, 127, 129] {
+            let mut flipped = base.clone();
+            flipped.ckpt_after[i] = false;
+            assert!(seen.insert(plan_fp(&flipped)), "flag {i}");
+        }
+        assert!(seen.insert(plan_fp(&plan(vec![true; 129]))));
+        assert!(seen.insert(plan_fp(&plan(vec![false; 130]))));
+        assert_eq!(plan_fp(&base), plan_fp(&plan(vec![true; 130])));
     }
 
     #[test]

@@ -74,11 +74,13 @@ pub use checkpoint_dp::{
     optimal_checkpoints, optimal_checkpoints_reusing, segment_cost, segment_cost_reusing, CostCtx,
     DpScratch, SegmentCost, SegmentCostScratch, KERNEL_MIN_LEN,
 };
-pub use coalesce::{coalesce, CheckpointPlan, PlacementStats, Segment, SegmentGraph};
+pub use coalesce::{
+    coalesce, coalesce_topology, CheckpointPlan, PlacementStats, Segment, SegmentGraph,
+};
 pub use error::{ErrorKind, PlanError, PlanResult};
 pub use evaluate::{theorem1, theorem1_model, Assessment, Pipeline, Strategy};
 pub use failure_model::{FailureModel, RestartCurve};
-pub use fingerprint::{allocate_config_fp, model_fp, workflow_fp, WorkflowFp};
+pub use fingerprint::{allocate_config_fp, model_fp, plan_fp, workflow_fp, WorkflowFp};
 pub use pfail::{lambda_from_pfail, pfail_from_lambda};
 pub use platform::Platform;
 pub use policy::{

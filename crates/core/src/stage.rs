@@ -14,19 +14,24 @@
 //!
 //! ```text
 //! Generate ──► Schedule ──────────────► Placement ──► SegmentGraph ──► EvalAnalytic
-//!     │            │                        ▲   ▲          ▲               EvalMc
-//!     └────────────┼──► Curve ──────────────┘   │          │
-//!                  └────────(model, platform)───┴──────────┘
+//!     │            │                        ▲   ▲     (topology)       EvalMc
+//!     └────────────┼──► Curve ──────────────┘   │                        ▲
+//!                  └────────(model, platform)───┴────────────────────────┘
 //! ```
 //!
-//! Two fusions are deliberate. *Superchain decomposition* is not a
-//! separate stage: Algorithm 1 interleaves proportional-mapping
+//! One fusion and one split are deliberate. *Superchain decomposition*
+//! is not a separate stage: Algorithm 1 interleaves proportional-mapping
 //! decomposition with per-sub-graph linearization, so the superchains
 //! are a field of the [`Schedule`] artifact (see [`crate::allocate`]).
-//! And *placement* and *segment-graph* both read the failure model (the
-//! coalesced 2-state probabilities depend on λ), so a model drift
-//! re-runs both — the invalidation-matrix tests in `ckpt_service` pin
-//! this exactly.
+//! And the *segment graph* is split along what reads the failure model:
+//! its segments, costs and edges read only the workflow, bandwidth,
+//! schedule and plan ([`segment_topology_stage`]), while the two-state
+//! law of each segment reads the model
+//! ([`SegmentGraph::with_model`], run inside the evaluations). A model
+//! drift that keeps the placement therefore keeps the topology — the
+//! invalidation-matrix tests in `ckpt_service` pin this exactly.
+//! [`segment_graph_stage`] is the two passes in a row, for one-shot
+//! callers.
 //!
 //! Two stage ids have no function here: `Generate` (workflow synthesis
 //! lives in the `pegasus` crate, upstream of this one) and `EvalMc`
@@ -40,7 +45,7 @@ use probdag::Evaluator;
 
 use crate::allocate::{allocate, AllocateConfig};
 use crate::checkpoint_dp::CostCtx;
-use crate::coalesce::{coalesce, CheckpointPlan, SegmentGraph};
+use crate::coalesce::{coalesce, coalesce_topology, CheckpointPlan, SegmentGraph};
 use crate::error::{require_positive, PlanError, PlanResult};
 use crate::failure_model::RestartCurve;
 use crate::platform::Platform;
@@ -269,9 +274,9 @@ pub fn placement_stage(
 
 /// **Segment-graph stage**: §II-C coalescing of checkpoint-delimited
 /// segments into the 2-state probabilistic DAG. Pure in (workflow,
-/// model+curve, bandwidth, schedule, plan) — note the model dependence:
-/// the 2-state failure probabilities are per-segment functions of the
-/// failure distribution, so model drift re-runs this stage too.
+/// model+curve, bandwidth, schedule, plan): the topology of
+/// [`segment_topology_stage`] with the model's two-state laws written
+/// in place.
 pub fn segment_graph_stage(
     ctx: &CostCtx<'_>,
     schedule: &Schedule,
@@ -280,6 +285,24 @@ pub fn segment_graph_stage(
     traced(StageId::SegmentGraph, || {
         inject(StageId::SegmentGraph)?;
         Ok(coalesce(ctx, schedule, plan))
+    })
+}
+
+/// **Segment-graph stage, model-free**: the segment topology of
+/// `schedule` under `plan` — segments, R/W/C costs at `bandwidth` and
+/// edges, every node at its failure-free span. Pure in (workflow,
+/// bandwidth, schedule, plan); the failure model is not an input, so a
+/// caller keying on those reuses one topology across model drifts and
+/// re-models it with [`SegmentGraph::with_model`].
+pub fn segment_topology_stage(
+    dag: &Dag,
+    bandwidth: f64,
+    schedule: &Schedule,
+    plan: &CheckpointPlan,
+) -> PlanResult<SegmentGraph> {
+    traced(StageId::SegmentGraph, || {
+        inject(StageId::SegmentGraph)?;
+        Ok(coalesce_topology(dag, bandwidth, schedule, plan))
     })
 }
 
@@ -357,6 +380,10 @@ mod tests {
         let sg = segment_graph_stage(&ctx, &schedule, &plan).unwrap();
         let em = evaluate_stage(&sg, &PathApprox::default()).unwrap();
         let assessed = pipe.assess(Strategy::CkptSome, &PathApprox::default());
+        assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
+        // The service's route: the model-free topology, re-modelled.
+        let topo = segment_topology_stage(&w.dag, platform.bandwidth, &schedule, &plan).unwrap();
+        let em = evaluate_stage(&topo.with_model(&ctx), &PathApprox::default()).unwrap();
         assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
     }
 

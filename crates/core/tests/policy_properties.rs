@@ -62,7 +62,7 @@ fn uniform_chain(n: usize, weight: f64, out_bytes: f64) -> (Workflow, Vec<TaskId
 /// processors, cost bits) and the same 2-state node laws bit-for-bit.
 fn assert_segment_graphs_bitwise_eq(a: &SegmentGraph, b: &SegmentGraph, label: &str) {
     assert_eq!(a.segments.len(), b.segments.len(), "{label}: segment count");
-    for (i, (x, y)) in a.segments.iter().zip(&b.segments).enumerate() {
+    for (i, (x, y)) in a.segments.iter().zip(b.segments.iter()).enumerate() {
         assert_eq!(x.tasks, y.tasks, "{label}: segment {i} tasks");
         assert_eq!(x.proc, y.proc, "{label}: segment {i} proc");
         assert_eq!(x.superchain, y.superchain, "{label}: segment {i} chain");

@@ -88,6 +88,20 @@ impl NodeDist {
     }
 }
 
+/// Panics unless a `TwoState` is a distribution: `p_high` in `[0, 1]`,
+/// `low` and `high` finite, and `high - low` finite.
+fn assert_distribution(dist: &NodeDist) {
+    if let NodeDist::TwoState { low, high, p_high } = *dist {
+        assert!(
+            (0.0..=1.0).contains(&p_high)
+                && low.is_finite()
+                && high.is_finite()
+                && (high - low).is_finite(),
+            "TwoState {{ low: {low}, high: {high}, p_high: {p_high} }} is not a distribution"
+        );
+    }
+}
+
 /// A DAG whose nodes carry independent duration distributions.
 ///
 /// The makespan is the maximum over sink nodes of the completion time,
@@ -114,20 +128,21 @@ impl ProbDag {
     /// negative, which the evaluators rely on.
     pub fn add_node(&mut self, dist: NodeDist) -> NodeId {
         assert!(self.dists.len() < u32::MAX as usize);
-        if let NodeDist::TwoState { low, high, p_high } = dist {
-            assert!(
-                (0.0..=1.0).contains(&p_high)
-                    && low.is_finite()
-                    && high.is_finite()
-                    && (high - low).is_finite(),
-                "TwoState {{ low: {low}, high: {high}, p_high: {p_high} }} is not a distribution"
-            );
-        }
+        assert_distribution(&dist);
         let id = NodeId(self.dists.len() as u32);
         self.dists.push(dist);
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
         id
+    }
+
+    /// Replaces every node's distribution, keeping the edges: `dists[v]`
+    /// becomes node `v`'s law. Panics unless there is one per node and
+    /// each passes [`ProbDag::add_node`]'s check.
+    pub fn set_dists(&mut self, dists: Vec<NodeDist>) {
+        assert_eq!(dists.len(), self.n_nodes(), "one distribution per node");
+        dists.iter().for_each(assert_distribution);
+        self.dists = dists;
     }
 
     /// Adds a dependence edge `u → v`. Duplicate edges are ignored.
@@ -348,6 +363,27 @@ mod tests {
         g.add_node(two(1.0, 1.5, 1.0));
         g.add_node(NodeDist::Certain(2.0));
         assert_eq!(g.n_nodes(), 3);
+    }
+
+    #[test]
+    fn set_dists_keeps_edges_and_validates() {
+        let (mut g, [a, b, c, d]) = diamond();
+        let laws = vec![
+            NodeDist::Certain(1.0),
+            two(2.0, 3.0, 0.5),
+            NodeDist::Certain(4.0),
+            NodeDist::Certain(1.0),
+        ];
+        g.set_dists(laws.clone());
+        assert_eq!(g.succs(a), &[b, c]);
+        assert_eq!(g.preds(d), &[b, c]);
+        assert_eq!(&laws[1], g.dist(b));
+        let short = std::panic::catch_unwind(|| diamond().0.set_dists(laws[..3].to_vec()));
+        assert!(short.is_err(), "a missing law was accepted");
+        let mut bad = laws;
+        bad[2] = two(1.0, 1.5, 2.0);
+        let r = std::panic::catch_unwind(|| diamond().0.set_dists(bad));
+        assert!(r.is_err(), "p_high 2 was accepted");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`Tracker`] — counts, per stage, whether resolutions executed or
 //!   were served from the store, so tests can assert the
 //!   invalidation matrix exactly (a λ drift re-runs curve + placement +
-//!   segment-graph + evaluate and nothing else; a no-op runs nothing).
+//!   evaluate, plus the segment topology iff the placement changed,
+//!   and nothing else; a no-op runs nothing).
 //!
 //! ```
 //! use ckpt_service::{Inputs, ModelSpec, Session, WhatIf, WorkflowSource};
@@ -35,7 +36,8 @@
 //! let inputs = Inputs::basic(source, 8, 1e8, ModelSpec::Exponential { pfail: 1e-3 });
 //! let mut session = Session::new(inputs);
 //! let before = session.baseline();
-//! // λ drifted overnight: only curve/placement/graph/evaluate re-run.
+//! // λ drifted overnight: only curve/placement/evaluate re-run (and
+//! // the segment topology, if the placement moved).
 //! let after = session.query(&WhatIf::SetPfail(2e-3));
 //! assert!(after.expected_makespan >= before.expected_makespan);
 //! session.apply(&WhatIf::SetPfail(2e-3));
@@ -54,6 +56,7 @@ pub use session::{
     Session, WhatIf, WorkflowSource,
 };
 pub use store::{
-    Memo, MemoStats, ScheduleArtifact, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS,
+    Memo, MemoStats, PlanArtifact, ScheduleArtifact, Store, StoreStats, WorkflowArtifact,
+    MAX_ATTEMPTS,
 };
 pub use tracker::{Outcome, Tracker};

@@ -19,11 +19,22 @@
 //! schedule  = (wf.structure [, wf.sizes iff MinVolume], procs, alloc)
 //! curve     = (model, wf.structure, wf.sizes, bw)
 //! placement = (wf.combined, model, bw, schedule, policy)
-//! graph     = (placement)      — placement's key closes over the rest
-//! eval      = (graph, evaluator)   — the analytic assessment: expected
-//!                                    makespan, placement census, w_par
+//! graph     = (wf.combined, bw, schedule, plan)   — the model-free
+//!             segment topology: R/W/C read weights and file sizes
+//! eval      = (placement, evaluator)   — the analytic assessment:
+//!             expected makespan, placement census, w_par; it names the
+//!             policy, and the placement key closes over the model
+//!             the per-model pass reads
 //! mc        = (graph, model, runs, seed)
 //! ```
+//!
+//! The graph key names the plan by content (`plan` is the plan's
+//! fingerprint, computed once with the plan), not by the placement key
+//! that produced it, so the failure models and policies that place the
+//! same checkpoints share one topology, and one Monte Carlo estimate
+//! per model. The eval and Monte Carlo resolutions write the model's
+//! two-state laws on the topology (`SegmentGraph::with_model`) inside
+//! their own closures.
 //!
 //! Equal key ⇒ equal inputs ⇒ (stages are pure) equal artifact, so a
 //! cache hit is always sound and every answer is byte-identical to a
@@ -56,13 +67,15 @@ use std::time::Duration;
 use ckpt_core::budget::install_quiet_unwind_hook;
 use ckpt_core::error::{require_pfail, require_positive};
 use ckpt_core::evaluate::assessment;
-use ckpt_core::fingerprint::{allocate_config_fp, compose, linearizer_reads_file_sizes, model_fp};
+use ckpt_core::fingerprint::{
+    allocate_config_fp, compose, linearizer_reads_file_sizes, model_fp, plan_fp,
+};
 use ckpt_core::policy::{
     CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy,
     GreedyCrossover, PolicyScratch, RiskThreshold,
 };
 use ckpt_core::stage::{
-    curve_stage, inject, placement_stage, schedule_stage, segment_graph_stage, traced, StageId,
+    curve_stage, inject, placement_stage, schedule_stage, segment_topology_stage, traced, StageId,
 };
 use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
 use failsim::{montecarlo_segments_model, montecarlo_segments_model_abortable, McStats, SimConfig};
@@ -72,7 +85,7 @@ use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
 use seedmix::digest::Fnv1a;
 use seedmix::parallel_slots;
 
-use crate::store::{Memo, ScheduleArtifact, Store, WorkflowArtifact};
+use crate::store::{Memo, PlanArtifact, ScheduleArtifact, Store, WorkflowArtifact};
 use crate::tracker::{Outcome, Tracker};
 use obs::span::SpanOutcome;
 
@@ -767,29 +780,35 @@ impl Session {
         );
         let plan = self.memo_stage(StageId::Placement, &self.store.plans, place_key, || {
             let policy = inputs.policy.build();
-            placement_stage(
+            let plan = placement_stage(
                 &ctx,
                 schedule,
                 policy.as_ref(),
                 &mut PolicyScratch::new(),
                 self.plan_threads,
-            )
+            )?;
+            let fp = plan_fp(&plan);
+            Ok(PlanArtifact { plan, fp })
         })?;
 
-        // Segment graph: same inputs as placement plus the plan itself,
-        // and the plan is a pure function of the placement key — so the
-        // placement key closes over this stage's inputs too.
-        let graph_key = compose(tag::GRAPH, &[place_key]);
-        let sg = self.memo_stage(StageId::SegmentGraph, &self.store.graphs, graph_key, || {
-            segment_graph_stage(&ctx, schedule, &plan)
-        })?;
+        // Segment topology: what coalescing reads besides the model —
+        // weights and file sizes, bandwidth, schedule, and the plan by
+        // content.
+        let graph_key = compose(tag::GRAPH, &[fp.combined(), bw_bits, sched_key, plan.fp]);
+        let topology =
+            self.memo_stage(StageId::SegmentGraph, &self.store.graphs, graph_key, || {
+                segment_topology_stage(&w.dag, inputs.bandwidth, schedule, &plan.plan)
+            })?;
 
-        // Analytic evaluate. The assessment also carries the placement
-        // census and w_par the answer reports; this key covers both.
-        let eval_key = compose(tag::EVAL, &[graph_key, inputs.evaluator.fp()]);
+        // Analytic evaluate on the topology under this model. The
+        // assessment also carries the policy name, the placement census
+        // and w_par the answer reports; the placement key covers all of
+        // them and the model.
+        let eval_key = compose(tag::EVAL, &[place_key, inputs.evaluator.fp()]);
         let evaluate = || {
             let policy = inputs.policy.name();
             let evaluator = inputs.evaluator.build();
+            let sg = topology.with_model(&ctx);
             assessment(policy, &sg, &w.dag, scheduled.w_par, evaluator.as_ref())
         };
         let eval = self.memo_stage(StageId::EvalAnalytic, &self.store.evals, eval_key, evaluate)?;
@@ -805,6 +824,7 @@ impl Session {
                 let cfg = spec.sim_config(self.mc_threads);
                 let mc_key = compose(tag::MC, &[graph_key, mfp, spec.fp()]);
                 let res = self.memo_stage(StageId::EvalMc, &self.store.sims, mc_key, || {
+                    let sg = topology.with_model(&ctx);
                     traced(StageId::EvalMc, || {
                         inject(StageId::EvalMc)?;
                         match budget {

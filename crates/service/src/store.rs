@@ -42,13 +42,35 @@
 //! strand no invariant, and one dying worker must never take the whole
 //! store's observers down with it.
 //!
+//! ## Eviction
+//!
 //! Eviction is deterministic least-recently-used: a monotone clock
 //! stamps every access under the same lock, so for a given (serial)
 //! access sequence the evicted keys are a pure function of that
 //! sequence — no randomness, no dependence on hash iteration order
 //! (clock stamps are unique, so the LRU minimum is too).
+//!
+//! A bounded memo finds that minimum through a *lazy* index, an ordered
+//! map from stamp to key, so that a hit stays one stamp write and a miss
+//! costs O(log n) amortized instead of a scan of the whole map. The
+//! index holds exactly one entry per key, filed at a stamp no later than
+//! the key's `last_use`: a hit moves `last_use` and leaves the index
+//! alone. To evict, pop the index's minimum `(s, k)`. If `s` is `k`'s
+//! `last_use`, `k` is the victim; otherwise re-file `k` at its
+//! `last_use` and pop again.
+//!
+//! *Proof that this evicts the scan's victim.* Say the pop returns
+//! `(s, k)` with `s = last_use(k)`. Every other key `k'` has its one
+//! entry at some `s' > s` (stamps are unique, and `s` was the minimum),
+//! and `last_use(k') ≥ s'`, so `last_use(k') > last_use(k)`: `k` is the
+//! unique least-recently-used key, the one a scan over the map picks.
+//! Re-filing keeps the invariant (the new entry's stamp is exactly
+//! `last_use`), and each key is re-filed at most once per eviction, so
+//! the loop ends. The key just inserted holds the newest stamp and is
+//! never the victim, as in the scan, which skips it. Removing a failed
+//! slot and clearing the memo drop the index entries with the keys.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -113,11 +135,46 @@ impl<V> Slot<V> {
 struct Entry<V> {
     slot: Arc<Slot<V>>,
     last_use: u64,
+    /// This key's stamp in the LRU index (`≤ last_use`; bounded memos
+    /// only).
+    filed: u64,
 }
 
 struct Inner<V> {
     map: HashMap<u64, Entry<V>>,
+    /// The lazy LRU index of a bounded memo: stamp → key, one entry per
+    /// key, at its `Entry::filed` (see the module docs). Empty when
+    /// unbounded.
+    lru: BTreeMap<u64, u64>,
     clock: u64,
+}
+
+impl<V> Inner<V> {
+    /// Removes and returns the least-recently-used key other than the
+    /// newest, re-filing stale index entries on the way (see the module
+    /// docs for why this is the scan's victim).
+    fn evict_lru(&mut self) -> Option<u64> {
+        while let Some((stamp, key)) = self.lru.pop_first() {
+            let e = self
+                .map
+                .get_mut(&key)
+                .expect("the LRU index tracks the map");
+            if e.last_use == stamp {
+                self.map.remove(&key);
+                return Some(key);
+            }
+            e.filed = e.last_use;
+            self.lru.insert(e.last_use, key);
+        }
+        None
+    }
+
+    /// Drops `key` and its index entry.
+    fn remove(&mut self, key: u64) {
+        if let Some(e) = self.map.remove(&key) {
+            self.lru.remove(&e.filed);
+        }
+    }
 }
 
 /// Hit/miss/eviction/failure counters of one [`Memo`] (monotone; read
@@ -214,6 +271,7 @@ impl<V> Memo<V> {
         Memo {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                lru: BTreeMap::new(),
                 clock: 0,
             }),
             capacity,
@@ -230,7 +288,9 @@ impl<V> Memo<V> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The slot for `key`, creating (and LRU-evicting) as needed.
+    /// The slot for `key`, creating (and LRU-evicting) as needed. A hit
+    /// writes the key's stamp only; a miss of a bounded memo files the
+    /// key in the LRU index and, over capacity, evicts through it.
     fn slot(&self, key: u64) -> Arc<Slot<V>> {
         let mut g = self.lock_inner();
         g.clock += 1;
@@ -247,19 +307,12 @@ impl<V> Memo<V> {
                 Entry {
                     slot: slot.clone(),
                     last_use: now,
+                    filed: now,
                 },
             );
-            if self.capacity > 0 && g.map.len() > self.capacity {
-                // Unique clock stamps make the LRU minimum unique,
-                // so eviction order never depends on hash order.
-                let victim = g
-                    .map
-                    .iter()
-                    .filter(|&(&k, _)| k != key)
-                    .min_by_key(|(_, e)| e.last_use)
-                    .map(|(&k, _)| k);
-                if let Some(k) = victim {
-                    g.map.remove(&k);
+            if self.capacity > 0 {
+                g.lru.insert(now, key);
+                if g.map.len() > self.capacity && g.evict_lru().is_some() {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -272,7 +325,7 @@ impl<V> Memo<V> {
     fn remove_slot(&self, key: u64, slot: &Arc<Slot<V>>) {
         let mut g = self.lock_inner();
         if g.map.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, slot)) {
-            g.map.remove(&key);
+            g.remove(key);
         }
     }
 
@@ -450,6 +503,21 @@ impl<V> Memo<V> {
         self.len() == 0
     }
 
+    /// The keys held, and a check of the LRU index invariant: one
+    /// entry per key, filed at a stamp no later than its `last_use`.
+    #[cfg(test)]
+    fn keys_checked(&self) -> std::collections::BTreeSet<u64> {
+        let g = self.lock_inner();
+        if self.capacity > 0 {
+            assert_eq!(g.lru.len(), g.map.len(), "one index entry per key");
+            for (&stamp, key) in &g.lru {
+                let e = &g.map[key];
+                assert!(e.filed == stamp && stamp <= e.last_use);
+            }
+        }
+        g.map.keys().copied().collect()
+    }
+
     /// Snapshot of the access counters.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
@@ -464,7 +532,9 @@ impl<V> Memo<V> {
 
     /// Drops every entry (counters keep accumulating).
     pub fn clear(&self) {
-        self.lock_inner().map.clear();
+        let mut g = self.lock_inner();
+        g.map.clear();
+        g.lru.clear();
     }
 }
 
@@ -487,9 +557,11 @@ pub struct Store {
     pub schedules: Memo<ScheduleArtifact>,
     /// Renewal restart curves (`None` = memoryless/never-failing).
     pub curves: Memo<Option<ckpt_core::RestartCurve>>,
-    /// Checkpoint plans.
-    pub plans: Memo<ckpt_core::CheckpointPlan>,
-    /// Coalesced 2-state segment graphs.
+    /// Checkpoint plans with their fingerprints.
+    pub plans: Memo<PlanArtifact>,
+    /// Model-free segment topologies (`ckpt_core::coalesce_topology`):
+    /// keyed on what they read, so the placements of many failure
+    /// models share one.
     pub graphs: Memo<ckpt_core::SegmentGraph>,
     /// Analytic assessments: expected makespan plus the placement
     /// census and failure-free parallel time an answer reports.
@@ -533,6 +605,16 @@ pub struct ScheduleArtifact {
     pub schedule: Arc<Schedule>,
     /// Failure-free parallel time of the schedule, without storage I/O.
     pub w_par: f64,
+}
+
+/// A checkpoint plan together with its fingerprint, which keys the
+/// segment topology: computed once with the plan, so a warm answer
+/// never hashes the plan's per-task flags.
+pub struct PlanArtifact {
+    /// The plan.
+    pub plan: ckpt_core::CheckpointPlan,
+    /// `ckpt_core::plan_fp` of the plan.
+    pub fp: u64,
 }
 
 /// Aggregated statistics of a whole [`Store`]: the totals row plus a
@@ -678,6 +760,101 @@ mod tests {
         // no: after inserting 2 the map held {1,3,2} → evict LRU(1)).
         assert!(recomputed1.get());
         assert!(memo.stats().evictions >= 2);
+    }
+
+    /// The O(n) scan the lazy LRU index replaced, kept as its
+    /// reference: the same clock, and the victim is the key with the
+    /// least `last_use` other than the one just inserted.
+    struct ScanLru {
+        last_use: HashMap<u64, u64>,
+        clock: u64,
+        capacity: usize,
+        stats: MemoStats,
+    }
+
+    impl ScanLru {
+        /// One access of `key`; returns the key it evicted, if any.
+        fn access(&mut self, key: u64) -> Option<u64> {
+            self.clock += 1;
+            if let Some(t) = self.last_use.get_mut(&key) {
+                *t = self.clock;
+                self.stats.hits += 1;
+                return None;
+            }
+            self.stats.misses += 1;
+            self.last_use.insert(key, self.clock);
+            if self.capacity == 0 || self.last_use.len() <= self.capacity {
+                return None;
+            }
+            let victim = self
+                .last_use
+                .iter()
+                .filter(|&(&k, _)| k != key)
+                .min_by_key(|&(_, &t)| t)
+                .map(|(&k, _)| k);
+            if let Some(k) = victim {
+                self.last_use.remove(&k);
+                self.stats.evictions += 1;
+            }
+            victim
+        }
+    }
+
+    /// Random resolutions, terminal failures and clears drive a bounded
+    /// memo and the scan side by side: the same victims in the same
+    /// order, the same keys at the end, the same counters.
+    #[test]
+    fn lazy_lru_index_evicts_what_the_scan_evicts() {
+        for capacity in [1usize, 2, 3, 8] {
+            for seed in 0..16u64 {
+                let memo: Memo<u64> = Memo::bounded(capacity);
+                let mut scan = ScanLru {
+                    last_use: HashMap::new(),
+                    clock: 0,
+                    capacity,
+                    stats: MemoStats::default(),
+                };
+                let (mut victims, mut want_victims) = (Vec::new(), Vec::new());
+                for i in 0..400u64 {
+                    let r = seedmix::derive(seed, &[capacity as u64, i]);
+                    let key = r % (3 * capacity as u64 + 2);
+                    let before = memo.keys_checked();
+                    match (r >> 32) % 25 {
+                        0 => {
+                            memo.clear();
+                            scan.last_use.clear();
+                            assert!(memo.keys_checked().is_empty());
+                            continue;
+                        }
+                        1..=4 => {
+                            let fail = || Err(PlanError::invalid("key", "refused"));
+                            let (res, _) = memo.resolve(StageId::Generate, key, fail);
+                            let held = scan.last_use.contains_key(&key);
+                            want_victims.extend(scan.access(key));
+                            if !held {
+                                assert!(res.is_err());
+                                scan.last_use.remove(&key);
+                                scan.stats.failures += 1;
+                            }
+                        }
+                        _ => {
+                            get(&memo, key, || key);
+                            want_victims.extend(scan.access(key));
+                        }
+                    }
+                    let after = memo.keys_checked();
+                    victims.extend(before.difference(&after).filter(|&&k| k != key));
+                    let want: std::collections::BTreeSet<u64> =
+                        scan.last_use.keys().copied().collect();
+                    assert_eq!(want, after, "capacity {capacity} seed {seed} op {i}");
+                }
+                let what = format!("capacity {capacity} seed {seed}");
+                assert_eq!(want_victims, victims, "{what}");
+                let want: std::collections::BTreeSet<u64> = scan.last_use.keys().copied().collect();
+                assert_eq!(want, memo.keys_checked(), "{what}");
+                assert_eq!(scan.stats, memo.stats(), "{what}");
+            }
+        }
     }
 
     #[test]

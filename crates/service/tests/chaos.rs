@@ -102,6 +102,11 @@ fn assert_same(tag: &str, a: &Answer, b: &Answer) {
     }
 }
 
+/// The hostile fault-plan seeds of the liveness check: a contiguous
+/// range, not a hand-picked list, so no seed is chosen for the failures
+/// it happens to produce.
+const HOSTILE_SEEDS: std::ops::RangeInclusive<u64> = 1..=12;
+
 /// Fault-free ground truth, one cold answer per query.
 fn cold_answers(queries: &[WhatIf]) -> Vec<Answer> {
     disarm();
@@ -119,7 +124,7 @@ fn chaos_serves_only_exact_answers_and_recovers_cold_equal() {
     let cold = cold_answers(&queries);
 
     let mut total_failures = 0usize;
-    for fault_seed in [1u64, 22, 333] {
+    for fault_seed in HOSTILE_SEEDS {
         for threads in [1usize, 2, 7] {
             let tag = format!("seed={fault_seed} threads={threads}");
             let session = Session::new(chaos_inputs());
@@ -167,8 +172,11 @@ fn chaos_serves_only_exact_answers_and_recovers_cold_equal() {
     }
     // A query only *fails* when all MAX_ATTEMPTS draws at one site come
     // up bad, so any single (seed, threads) run may survive unscathed —
-    // but across 9 hostile runs at least one query must have died, or
-    // the harness is not exercising the failure path at all.
+    // but across 36 hostile runs at least one query must have died, or
+    // the harness is not exercising the failure path at all. Which runs
+    // fail depends on how many site hits precede each draw, so a change
+    // that adds or removes stage executions moves the failures between
+    // seeds; the range is wide enough that some always remain.
     assert!(total_failures > 0, "hostile plans never surfaced a failure");
 }
 

@@ -64,13 +64,14 @@ fn noop_reexecutes_zero_stages() {
 #[test]
 fn lambda_drift_touches_only_curve_placement_graph_evaluate() {
     // The acceptance-bar case, on the full 300-task Montage instance:
-    // λ drift must leave the workflow and schedule untouched. The
-    // coalesced graph's 2-state probabilities read λ, so the
-    // segment-graph stage is part of the placement group here.
+    // λ drift must leave the workflow and schedule untouched. This
+    // drift moves the placement, so the segment topology, which is
+    // keyed on the plan, re-runs with it.
     let session = montage_session(300);
-    session.baseline();
+    let before = session.baseline();
     session.tracker().clear();
-    session.query(&WhatIf::SetPfail(2e-3));
+    let after = session.query(&WhatIf::SetPfail(2e-3));
+    assert_ne!(before.n_segments, after.n_segments, "the placement moved");
     assert_eq!(
         session.tracker().executed(),
         stages(&[
@@ -87,21 +88,47 @@ fn lambda_drift_touches_only_curve_placement_graph_evaluate() {
 
 #[test]
 fn model_family_swap_behaves_like_lambda_drift() {
+    // The Weibull swap keeps Montage-50's placement, so the segment
+    // topology, which never reads the model, is served from the store:
+    // only the stages that read the model run.
     let session = montage_session(50);
-    session.baseline();
+    let before = session.baseline();
     session.tracker().clear();
-    session.query(&WhatIf::SetModel(ModelSpec::Weibull {
+    let after = session.query(&WhatIf::SetModel(ModelSpec::Weibull {
         shape: 0.7,
         pfail: 1e-3,
     }));
+    assert_eq!(before.n_segments, after.n_segments);
+    assert_eq!(before.ckpt_bytes.to_bits(), after.ckpt_bytes.to_bits());
     assert_eq!(
         session.tracker().executed(),
-        stages(&[
-            StageId::Curve,
-            StageId::Placement,
-            StageId::SegmentGraph,
-            StageId::EvalAnalytic,
-        ])
+        stages(&[StageId::Curve, StageId::Placement, StageId::EvalAnalytic])
+    );
+    assert_eq!(
+        session.tracker().cached(),
+        stages(&[StageId::Generate, StageId::Schedule, StageId::SegmentGraph])
+    );
+}
+
+#[test]
+fn a_drift_back_to_an_earlier_placement_reuses_its_topology() {
+    // 2e-3 moves Montage-300's placement (see above); a first visit of
+    // 1.001e-3 places the baseline's checkpoints again, so its
+    // topology is still in the store.
+    let session = montage_session(300);
+    let before = session.baseline();
+    session.query(&WhatIf::SetPfail(2e-3));
+    session.tracker().clear();
+    let back = session.query(&WhatIf::SetPfail(1.001e-3));
+    assert_eq!(before.n_segments, back.n_segments);
+    assert_eq!(before.ckpt_bytes.to_bits(), back.ckpt_bytes.to_bits());
+    assert_eq!(
+        session.tracker().executed(),
+        stages(&[StageId::Curve, StageId::Placement, StageId::EvalAnalytic])
+    );
+    assert_eq!(
+        session.tracker().cached(),
+        stages(&[StageId::Generate, StageId::Schedule, StageId::SegmentGraph])
     );
 }
 
