@@ -12,10 +12,7 @@ use std::sync::Arc;
 use ckpt_core::stage::schedule_stage;
 use ckpt_core::{AllocateConfig, Schedule, StageId, Strategy};
 use ckpt_service::{ModelSpec, PolicySpec};
-use failsim::{
-    montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
-    SimConfig,
-};
+use failsim::{montecarlo_none_model, montecarlo_segments_model, SimConfig};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
@@ -321,7 +318,6 @@ impl Scenario for ValidateScenario {
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<ValidateRow> {
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let lambda = pipe.platform.lambda();
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -339,7 +335,9 @@ impl Scenario for ValidateScenario {
             let model = in_stage(StageId::EvalAnalytic, || {
                 evaluator.expected_makespan(&sg.pdag)
             });
-            let sim = in_stage(StageId::EvalMc, || montecarlo_segments(&sg, lambda, &cfg));
+            let sim = in_stage(StageId::EvalMc, || {
+                montecarlo_segments_model(&sg, &pipe.platform.model, &cfg)
+            });
             rows.push(ValidateRow {
                 class: cell.class,
                 size: cell.size,
@@ -357,7 +355,7 @@ impl Scenario for ValidateScenario {
             .assess(Strategy::CkptNone, &evaluator)
             .expected_makespan;
         let sim = in_stage(StageId::EvalMc, || {
-            montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg)
+            montecarlo_none_model(&w.dag, &pipe.schedule, &pipe.platform.model, &cfg)
         });
         rows.push(ValidateRow {
             class: cell.class,

@@ -4,9 +4,15 @@
 //! Monte Carlo replication loop) can run for seconds on large inputs; a
 //! serving layer needs a way to abandon them mid-flight without leaving
 //! a thread spinning or a partial artifact in a cache. A [`Budget`] is
-//! the cooperative half of that contract: long loops call
-//! [`Budget::check`] at coarse intervals (once per DP row, once per MC
-//! replication), and an expired budget aborts the computation.
+//! the cooperative half of that contract: the DP and policy loops call
+//! [`Budget::check`] at coarse intervals (once per DP row or
+//! superchain), and an expired budget aborts the computation.
+//!
+//! The Monte Carlo never calls `check`: its replications run on scoped
+//! worker threads, where an unwind would re-raise through the join.
+//! It polls [`Budget::is_exhausted`] instead, once per replication,
+//! through `failsim::montecarlo_segments_model_abortable`, which
+//! returns `None` — no estimate — once the budget is spent.
 //!
 //! ## Abort mechanism
 //!

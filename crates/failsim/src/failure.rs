@@ -22,10 +22,10 @@ pub trait FailureSource {
 /// (used by the segment simulator, where every attempt is an independent
 /// renewal and processor identity carries no state).
 ///
-/// For the exponential model this consumes its stream exactly as the
-/// historical `ExpFailures::sample_interarrival` did, keeping seeded
-/// exponential segment simulations bit-for-bit stable across the
-/// failure-model refactor.
+/// One stream seeded straight from the run seed, one uniform per draw:
+/// this layout fixes the segment simulator's bits. [`ModelFailures`]'
+/// per-processor substreams would draw different values from the same
+/// seed, so the two samplers stay apart.
 pub struct ModelSampler {
     model: FailureModel,
     rng: StdRng,
@@ -55,12 +55,14 @@ impl ModelSampler {
 /// draws a processor sees are a pure function of `(model, seed, proc)` —
 /// never of the order in which processors happen to be queried.
 ///
-/// This is the fix for the original `ExpFailures`, whose single shared
-/// stream made per-processor failure times depend on query interleaving:
-/// any change in event ordering (or in another processor's workload)
-/// silently reshuffled everyone's failures. With per-processor
-/// substreams, model-driven sources and [`TraceFailures`] are truly
-/// interchangeable behind [`FailureSource`].
+/// A single stream shared by all processors would make per-processor
+/// failure times depend on query interleaving: any change in event
+/// ordering (or in another processor's workload) would silently
+/// reshuffle everyone's failures. With per-processor substreams,
+/// model-driven sources and [`TraceFailures`] are truly interchangeable
+/// behind [`FailureSource`]. The paper's exponential process is
+/// `ModelFailures::new(FailureModel::exponential(λ), seed)`: memoryless,
+/// so each query draws a fresh exponential inter-arrival from `after`.
 pub struct ModelFailures {
     model: FailureModel,
     seed: u64,
@@ -117,31 +119,6 @@ impl FailureSource for ModelFailures {
     }
 }
 
-/// Independent exponential failures of rate `lambda` per processor (the
-/// paper's model): [`ModelFailures`] specialized to
-/// [`FailureModel::Exponential`]. Memoryless, so each query draws a
-/// fresh exponential inter-arrival from `after` on the processor's own
-/// substream.
-pub struct ExpFailures(ModelFailures);
-
-impl ExpFailures {
-    /// Creates the process with the given rate and seed.
-    pub fn new(lambda: f64, seed: u64) -> Self {
-        ExpFailures(ModelFailures::new(FailureModel::exponential(lambda), seed))
-    }
-
-    /// Draws one exponential inter-arrival time on `proc`'s substream.
-    pub fn sample_interarrival(&mut self, proc: usize) -> f64 {
-        self.0.sample_interarrival(proc)
-    }
-}
-
-impl FailureSource for ExpFailures {
-    fn next_failure(&mut self, proc: usize, after: f64) -> f64 {
-        self.0.next_failure(proc, after)
-    }
-}
-
 /// Deterministic failure trace: explicit failure times per processor
 /// (used by tests to script crossover-dependency scenarios).
 pub struct TraceFailures {
@@ -178,7 +155,7 @@ mod tests {
 
     #[test]
     fn exp_mean_matches_rate() {
-        let mut src = ExpFailures::new(0.5, 1);
+        let mut src = ModelFailures::new(FailureModel::exponential(0.5), 1);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| src.sample_interarrival(0)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
@@ -211,18 +188,18 @@ mod tests {
 
     #[test]
     fn zero_rate_never_fails() {
-        let mut src = ExpFailures::new(0.0, 2);
+        let mut src = ModelFailures::new(FailureModel::exponential(0.0), 2);
         assert_eq!(src.next_failure(0, 10.0), f64::INFINITY);
     }
 
     #[test]
     fn exp_failures_are_seeded() {
         let a: Vec<f64> = {
-            let mut s = ExpFailures::new(1.0, 7);
+            let mut s = ModelFailures::new(FailureModel::exponential(1.0), 7);
             (0..10).map(|_| s.sample_interarrival(0)).collect()
         };
         let b: Vec<f64> = {
-            let mut s = ExpFailures::new(1.0, 7);
+            let mut s = ModelFailures::new(FailureModel::exponential(1.0), 7);
             (0..10).map(|_| s.sample_interarrival(0)).collect()
         };
         assert_eq!(a, b);
@@ -234,7 +211,7 @@ mod tests {
     #[test]
     fn per_processor_draws_survive_query_reordering() {
         let draws = |order: &[usize]| -> Vec<Vec<f64>> {
-            let mut src = ExpFailures::new(1.0, 7);
+            let mut src = ModelFailures::new(FailureModel::exponential(1.0), 7);
             let mut out = vec![Vec::new(); 3];
             for &p in order {
                 out[p].push(src.sample_interarrival(p));
@@ -273,7 +250,7 @@ mod tests {
     /// sources are interchangeable per processor.
     #[test]
     fn sources_are_interchangeable_behind_the_trait() {
-        let mut exp = ExpFailures::new(0.5, 9);
+        let mut exp = ModelFailures::new(FailureModel::exponential(0.5), 9);
         let mut trace = TraceFailures::new(vec![vec![5.0, 1.0, 9.0]]);
         let sources: [&mut dyn FailureSource; 2] = [&mut exp, &mut trace];
         for src in sources {

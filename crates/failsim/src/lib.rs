@@ -16,7 +16,15 @@
 //!   [`FailureModel`]s (exponential / Weibull / LogNormal) and
 //!   deterministic traces, each processor on an independent
 //!   splitmix-derived substream;
-//! * [`montecarlo`] — seeded, thread-parallel aggregation.
+//! * [`montecarlo`] — seeded, thread-parallel aggregation, one code
+//!   path per execution model: [`montecarlo_segments_model_abortable`]
+//!   for checkpointed runs, and multilevel splitting behind
+//!   [`montecarlo_none_model`] for CkptNone, whose naive estimator is
+//!   splitting with zero levels.
+//!
+//! Every entry point takes a [`FailureModel`]; the paper's exponential
+//! process is `FailureModel::exponential(λ)`, which is what
+//! `Platform::new` builds.
 
 pub mod failure;
 pub mod metrics;
@@ -25,14 +33,11 @@ pub mod none_exec;
 pub mod segment_exec;
 
 pub use ckpt_core::FailureModel;
-pub use failure::{ExpFailures, FailureSource, ModelFailures, ModelSampler, TraceFailures};
+pub use failure::{FailureSource, ModelFailures, ModelSampler, TraceFailures};
 pub use metrics::{ExecStats, McStats};
 pub use montecarlo::{
-    montecarlo_none, montecarlo_none_model, montecarlo_segments, montecarlo_segments_model,
-    montecarlo_segments_model_abortable, Estimator, NoneMcStats, SimConfig, SplitConfig,
+    montecarlo_none_model, montecarlo_segments_model, montecarlo_segments_model_abortable,
+    Estimator, NoneMcStats, SimConfig, SplitConfig,
 };
 pub use none_exec::{simulate_none, simulate_none_reference, Diverged};
-pub use segment_exec::{
-    simulate_segments, simulate_segments_downtime, simulate_segments_model,
-    simulate_segments_model_downtime,
-};
+pub use segment_exec::simulate_segments_model;

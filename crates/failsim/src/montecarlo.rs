@@ -25,9 +25,10 @@ pub struct SimConfig {
     /// Failure budget per CkptNone run (see
     /// [`crate::none_exec::Diverged`]).
     pub max_failures: usize,
-    /// Which CkptNone estimator to run. Ignored by the segment-graph
-    /// engines (checkpointed runs have no rare-cascade regime worth
-    /// splitting for).
+    /// Which CkptNone estimator to run; both run the one splitting
+    /// code path, naive Monte Carlo with zero levels. Ignored by the
+    /// segment-graph engine (checkpointed runs have no rare-cascade
+    /// regime worth splitting for).
     pub estimator: Estimator,
     /// Cascade-tail threshold for [`NoneMcStats::p_tail`]: the CkptNone
     /// estimators also report `P(n_failures ≥ tail_at)`, the
@@ -55,7 +56,9 @@ impl Default for SimConfig {
 /// CkptNone estimator selector (see [`SimConfig::estimator`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Estimator {
-    /// Classic Monte Carlo: `runs` independent trajectories.
+    /// Classic Monte Carlo: `runs` independent trajectories. This is
+    /// [`Estimator::Splitting`] with zero levels: no trajectory ever
+    /// pauses or clones, so each root is one plain run at weight 1.
     Naive,
     /// Multilevel splitting on the failure count, for rare-event
     /// regimes (small `pfail`, wear-out models) where the makespan tail
@@ -104,49 +107,27 @@ fn run_seed(base: u64, i: usize) -> u64 {
     seedmix::stream_seed(base, i as u64)
 }
 
-/// Runs `f(i)` for every replication on the configured thread budget and
-/// returns the per-run statistics **in canonical run order** — run `i`
-/// owns its own `seedmix` stream and slot, so the returned vector (and
-/// therefore every fold over it) is a pure function of `(seed, runs)`,
-/// never of the thread count. Workers claim runs off a shared queue
-/// (CkptNone runs vary by orders of magnitude in cost, so static
-/// striding would idle workers).
-fn parallel_map<F>(runs: usize, threads: usize, f: F) -> Vec<ExecStats>
-where
-    F: Fn(usize) -> ExecStats + Sync,
-{
-    seedmix::parallel_slots(runs, threads, f)
-}
-
-/// Monte Carlo over checkpointed (segment-graph) executions under
-/// exponential failures of rate `lambda`.
-pub fn montecarlo_segments(sg: &SegmentGraph, lambda: f64, cfg: &SimConfig) -> McStats {
-    montecarlo_segments_model(sg, &FailureModel::exponential(lambda), cfg)
-}
-
-/// Monte Carlo over checkpointed executions under an arbitrary
-/// [`FailureModel`].
+/// Monte Carlo over checkpointed (segment-graph) executions under an
+/// arbitrary [`FailureModel`]:
+/// [`montecarlo_segments_model_abortable`] with an abort that never
+/// fires.
 pub fn montecarlo_segments_model(
     sg: &SegmentGraph,
     model: &FailureModel,
     cfg: &SimConfig,
 ) -> McStats {
-    let runs = parallel_map(cfg.runs, cfg.threads, |i| {
-        simulate_segments_model(sg, model, run_seed(cfg.seed, i))
-    });
-    // The canonical fold is the partition-invariance anchor (DESIGN.md
-    // §9): worth its own span so traces show reduce vs simulate cost.
-    obs::span::timed("mc.reduce", || McStats::from_runs(&runs)).0
+    montecarlo_segments_model_abortable(sg, model, cfg, &|| false).expect("never aborted")
 }
 
-/// [`montecarlo_segments_model`] with a cooperative abort predicate,
-/// polled once per replication (replications are the natural cadence:
-/// each costs far more than the poll). Returns `None` if `abort`
-/// reported true at any point — a partial aggregate would be silently
-/// biased toward the cheap runs, so an exceeded deadline yields *no*
-/// estimate, never a wrong one. With `abort` constantly false the
-/// result is bit-identical to [`montecarlo_segments_model`]: same
-/// per-run seed streams, same canonical reduction order.
+/// Monte Carlo over checkpointed executions with a cooperative abort
+/// predicate, polled once per replication (replications are the
+/// natural cadence: each costs far more than the poll). Returns `None`
+/// if `abort` reported true at any point — a partial aggregate would be
+/// silently biased toward the cheap runs, so an exceeded deadline
+/// yields *no* estimate, never a wrong one. Whether or not a caller can
+/// abort, the estimate is the same: run `i` owns its own `seedmix`
+/// stream and result slot (`seedmix::parallel_slots`), and the
+/// reduction folds in canonical run order.
 ///
 /// The abort signal is a plain predicate (not an unwind): replication
 /// workers run under `seedmix::parallel_slots`, and an unwinding abort
@@ -160,7 +141,7 @@ pub fn montecarlo_segments_model_abortable(
 ) -> Option<McStats> {
     use std::sync::atomic::{AtomicBool, Ordering};
     let aborted = AtomicBool::new(false);
-    let runs = parallel_map(cfg.runs, cfg.threads, |i| {
+    let runs = seedmix::parallel_slots(cfg.runs, cfg.threads, |i| {
         // Once any worker observes the abort, every remaining claimed
         // run short-circuits to a placeholder; the whole vector is
         // discarded below.
@@ -173,6 +154,9 @@ pub fn montecarlo_segments_model_abortable(
     if aborted.load(Ordering::Relaxed) {
         None
     } else {
+        // The canonical fold is the partition-invariance anchor
+        // (DESIGN.md §4): worth its own span so traces show reduce vs
+        // simulate cost.
         Some(obs::span::timed("mc.reduce", || McStats::from_runs(&runs)).0)
     }
 }
@@ -193,6 +177,9 @@ pub fn montecarlo_segments_model_abortable(
 /// * `stats.mean_wasted` averages over **converged** runs only (0 when
 ///   none converged): diverged runs do not track wasted time, so
 ///   including their zeros would silently bias the column down.
+/// * With `runs == 0` there is no sample: every statistic is NaN,
+///   `stats.runs == 0` and `diverged == 0` (no run was made, so none
+///   was censored) — the no-data contract of [`McStats::from_runs`].
 pub struct NoneMcStats {
     /// Aggregate over the simulated runs, censored per the contract
     /// above.
@@ -227,63 +214,55 @@ fn mean_stderr(values: &[f64]) -> (f64, f64) {
     (mean, (var / n).sqrt())
 }
 
-/// Monte Carlo over CkptNone executions under exponential failures.
-pub fn montecarlo_none(dag: &Dag, sched: &Schedule, lambda: f64, cfg: &SimConfig) -> NoneMcStats {
-    montecarlo_none_model(dag, sched, &FailureModel::exponential(lambda), cfg)
-}
+/// The naive estimator as splitting: with zero levels no trajectory
+/// ever pauses, so each root is one plain run at weight 1 (`factor` and
+/// `stride` are never read).
+const NAIVE: SplitConfig = SplitConfig {
+    factor: 2,
+    stride: 1,
+    max_levels: 0,
+};
 
 /// Monte Carlo over CkptNone executions under an arbitrary
-/// [`FailureModel`]: run `i` owns a [`ModelFailures`] source whose
-/// per-processor substreams derive from the run's seed.
+/// [`FailureModel`]: root `i` owns a [`ModelFailures`] source whose
+/// per-processor substreams derive from the run's seed. Both
+/// estimators run the one splitting code path; [`Estimator::Naive`] is
+/// splitting with zero levels.
 pub fn montecarlo_none_model(
     dag: &Dag,
     sched: &Schedule,
     model: &FailureModel,
     cfg: &SimConfig,
 ) -> NoneMcStats {
-    // One static-table build per estimate, shared by every run (the
-    // CSR maps are read-only; each run clones only the dynamic state).
-    let st = NoneStatic::new(dag, sched, true);
-    match cfg.estimator {
-        Estimator::Naive => {
-            let marker = f64::INFINITY;
-            let runs = parallel_map(cfg.runs, cfg.threads, |i| {
-                let mut src = ModelFailures::new(*model, run_seed(cfg.seed, i));
-                let mut state = NoneState::new(&st, &mut src);
-                match state.run(&st, &mut src, cfg.max_failures) {
-                    RunOutcome::Done(s) => s,
-                    RunOutcome::Diverged(d) => ExecStats {
-                        makespan: marker,
-                        n_failures: d.n_failures,
-                        wasted_time: 0.0,
-                        n_reexecs: 0,
-                    },
-                    RunOutcome::Split => unreachable!("splitting disabled"),
-                }
-            });
-            aggregate_censored(&runs, cfg.tail_at)
-        }
+    let sc = match cfg.estimator {
+        Estimator::Naive => NAIVE,
         Estimator::Splitting(sc) => {
             assert!(sc.factor >= 2, "split factor must be at least 2");
             assert!(sc.stride >= 1, "split stride must be at least 1");
-            let roots = seedmix::parallel_slots(cfg.runs, cfg.threads, |i| {
-                split_root(
-                    &st,
-                    model,
-                    run_seed(cfg.seed, i),
-                    cfg.max_failures,
-                    cfg.tail_at,
-                    &sc,
-                )
-            });
-            aggregate_censored_weighted(&roots)
+            sc
         }
-    }
+    };
+    // One static-table build per estimate, shared by every run (the
+    // CSR maps are read-only; each run clones only the dynamic state).
+    let st = NoneStatic::new(dag, sched, true);
+    let roots = seedmix::parallel_slots(cfg.runs, cfg.threads, |i| {
+        split_root(
+            &st,
+            model,
+            run_seed(cfg.seed, i),
+            cfg.max_failures,
+            cfg.tail_at,
+            &sc,
+        )
+    });
+    aggregate_censored(&roots)
 }
 
 /// Weighted leaf aggregate of one splitting root: an unbiased sample of
-/// the same makespan expectation a naive run estimates, with the deep
-/// cascade branches smoothed by conditional averaging.
+/// the root's makespan expectation, with the deep cascade branches
+/// smoothed by conditional averaging. A zero-level root is one leaf at
+/// weight 1, so each sum is exactly that run's value (`0 + 1·x == x`
+/// for every `x` but `−0.0`, which no statistic here takes).
 struct RootResult {
     makespan: f64,
     failures: f64,
@@ -291,8 +270,7 @@ struct RootResult {
     /// Weighted leaf average of `1[n_failures ≥ tail_at]`.
     p_tail: f64,
     /// True if *any* leaf exhausted the failure budget: the root is
-    /// then censored wholesale, matching the naive estimator's
-    /// per-run censoring verdict.
+    /// then censored wholesale.
     diverged: bool,
 }
 
@@ -408,90 +386,34 @@ fn descend(
     }
 }
 
-/// [`aggregate_censored`] for weighted splitting roots: identical
-/// censoring contract, with each root's weighted leaf aggregate playing
-/// the role of one run.
-fn aggregate_censored_weighted(roots: &[RootResult]) -> NoneMcStats {
+/// Aggregates CkptNone roots under the [`NoneMcStats`] censoring
+/// contract: makespan statistics over converged roots, failure counts
+/// and the tail probability over all roots (censored counts included),
+/// wasted time over converged roots. All folds run in canonical root
+/// order.
+fn aggregate_censored(roots: &[RootResult]) -> NoneMcStats {
     let conv: Vec<&RootResult> = roots.iter().filter(|r| !r.diverged).collect();
     let diverged = roots.len() - conv.len();
-    let mut stats = if conv.is_empty() {
-        McStats {
-            mean_makespan: f64::INFINITY,
-            stderr: f64::INFINITY,
-            mean_failures: 0.0, // overwritten below
-            mean_wasted: 0.0,
-            runs: 0,
-        }
+    let (mean_makespan, stderr, mean_wasted) = if conv.is_empty() && diverged > 0 {
+        // Censored, not empty: every root ran and hit the failure budget.
+        (f64::INFINITY, f64::INFINITY, 0.0)
     } else {
-        let n = conv.len() as f64;
-        let mean = conv.iter().map(|r| r.makespan).sum::<f64>() / n;
-        let stderr = if conv.len() < 2 {
-            f64::NAN
-        } else {
-            let var = conv
-                .iter()
-                .map(|r| (r.makespan - mean) * (r.makespan - mean))
-                .sum::<f64>()
-                / (n - 1.0);
-            (var / n).sqrt()
-        };
-        McStats {
-            mean_makespan: mean,
-            stderr,
-            mean_failures: 0.0, // overwritten below
-            mean_wasted: conv.iter().map(|r| r.wasted).sum::<f64>() / n,
-            runs: conv.len(),
-        }
+        let makespans: Vec<f64> = conv.iter().map(|r| r.makespan).collect();
+        let (mean, stderr) = mean_stderr(&makespans);
+        let wasted = conv.iter().map(|r| r.wasted).sum::<f64>() / conv.len() as f64;
+        (mean, stderr, wasted)
     };
-    if !roots.is_empty() {
-        stats.mean_failures = roots.iter().map(|r| r.failures).sum::<f64>() / roots.len() as f64;
-    }
-    // Like `mean_failures`, the tail probability covers *all* roots.
+    let stats = McStats {
+        mean_makespan,
+        stderr,
+        // Censored failure counts enter the average whether some or all
+        // roots diverge, so the column's meaning does not flip with the
+        // divergence fraction.
+        mean_failures: roots.iter().map(|r| r.failures).sum::<f64>() / roots.len() as f64,
+        mean_wasted,
+        runs: conv.len(),
+    };
     let tails: Vec<f64> = roots.iter().map(|r| r.p_tail).collect();
-    let (p_tail, p_tail_stderr) = mean_stderr(&tails);
-    NoneMcStats {
-        stats,
-        diverged,
-        p_tail,
-        p_tail_stderr,
-    }
-}
-
-/// Aggregates CkptNone runs under the [`NoneMcStats`] censoring
-/// contract: makespan statistics over converged runs, failure counts
-/// over all runs (censored counts included), wasted time over converged
-/// runs. All folds run in canonical run order.
-fn aggregate_censored(runs: &[ExecStats], tail_at: usize) -> NoneMcStats {
-    let converged: Vec<ExecStats> = runs
-        .iter()
-        .copied()
-        .filter(|r| r.makespan.is_finite())
-        .collect();
-    let diverged = runs.len() - converged.len();
-    let mut stats = if converged.is_empty() {
-        McStats {
-            mean_makespan: f64::INFINITY,
-            stderr: f64::INFINITY,
-            mean_failures: 0.0, // overwritten below
-            mean_wasted: 0.0,
-            runs: 0,
-        }
-    } else {
-        McStats::from_runs(&converged)
-    };
-    // Censored failure counts enter the average in *both* branches:
-    // dropping them only when some runs converge (the pre-fix behavior)
-    // made the column's meaning flip with the divergence fraction.
-    if !runs.is_empty() {
-        stats.mean_failures =
-            runs.iter().map(|r| r.n_failures as f64).sum::<f64>() / runs.len() as f64;
-    }
-    // Like `mean_failures`, the tail probability covers *all* runs
-    // (diverged runs enter at their censored failure count).
-    let tails: Vec<f64> = runs
-        .iter()
-        .map(|r| if r.n_failures >= tail_at { 1.0 } else { 0.0 })
-        .collect();
     let (p_tail, p_tail_stderr) = mean_stderr(&tails);
     NoneMcStats {
         stats,
@@ -547,9 +469,9 @@ mod tests {
         let platform = Platform::new(5, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
         let sg = pipe.segment_graph(Strategy::CkptSome);
-        let mc = montecarlo_segments(
+        let mc = montecarlo_segments_model(
             &sg,
-            lambda,
+            &pipe.platform.model,
             &SimConfig {
                 runs: 4000,
                 ..Default::default()
@@ -572,10 +494,10 @@ mod tests {
         let w = generate(WorkflowClass::Genome, 50, 4);
         let sched = allocate(&w, 5, &AllocateConfig::default());
         let lambda = ckpt_core::lambda_from_pfail(0.0001, w.dag.mean_weight());
-        let r = montecarlo_none(
+        let r = montecarlo_none_model(
             &w.dag,
             &sched,
-            lambda,
+            &FailureModel::exponential(lambda),
             &SimConfig {
                 runs: 200,
                 ..Default::default()
@@ -721,8 +643,8 @@ mod tests {
             max_failures: 1000,
             ..Default::default()
         };
-        let a = montecarlo_segments(&sg, lambda, &cfg);
-        let b = montecarlo_segments(&sg, lambda, &cfg);
+        let a = montecarlo_segments_model(&sg, &pipe.platform.model, &cfg);
+        let b = montecarlo_segments_model(&sg, &pipe.platform.model, &cfg);
         assert_eq!(a.mean_makespan, b.mean_makespan);
     }
 
@@ -742,15 +664,16 @@ mod tests {
             max_failures: 100_000,
             ..Default::default()
         };
-        let seg1 = montecarlo_segments(&sg, lambda, &cfg(1));
-        let none1 = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg(1));
+        let model = &pipe.platform.model;
+        let seg1 = montecarlo_segments_model(&sg, model, &cfg(1));
+        let none1 = montecarlo_none_model(&w.dag, &pipe.schedule, model, &cfg(1));
         for threads in [2, 3, 7, 16] {
-            let seg = montecarlo_segments(&sg, lambda, &cfg(threads));
+            let seg = montecarlo_segments_model(&sg, model, &cfg(threads));
             assert_eq!(seg1.mean_makespan.to_bits(), seg.mean_makespan.to_bits());
             assert_eq!(seg1.stderr.to_bits(), seg.stderr.to_bits());
             assert_eq!(seg1.mean_failures.to_bits(), seg.mean_failures.to_bits());
             assert_eq!(seg1.mean_wasted.to_bits(), seg.mean_wasted.to_bits());
-            let none = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg(threads));
+            let none = montecarlo_none_model(&w.dag, &pipe.schedule, model, &cfg(threads));
             assert_eq!(
                 none1.stats.mean_makespan.to_bits(),
                 none.stats.mean_makespan.to_bits()
@@ -763,22 +686,26 @@ mod tests {
     #[test]
     fn censored_failure_counts_enter_the_mean_in_both_branches() {
         // Partial divergence: mean_failures must include the censored
-        // runs' counts (at the budget), matching the all-diverged branch.
+        // roots' counts (at the budget), matching the all-diverged
+        // branch. One-leaf roots, as the naive estimator makes them;
+        // with tail_at = 10, only the censored count 50 is in the tail.
         let some = [
-            ExecStats {
+            RootResult {
                 makespan: 10.0,
-                n_failures: 2,
-                wasted_time: 1.0,
-                n_reexecs: 0,
+                failures: 2.0,
+                wasted: 1.0,
+                p_tail: 0.0,
+                diverged: false,
             },
-            ExecStats {
-                makespan: f64::INFINITY,
-                n_failures: 50,
-                wasted_time: 0.0,
-                n_reexecs: 0,
+            RootResult {
+                makespan: 0.0,
+                failures: 50.0,
+                wasted: 0.0,
+                p_tail: 1.0,
+                diverged: true,
             },
         ];
-        let agg = super::aggregate_censored(&some, 10);
+        let agg = super::aggregate_censored(&some);
         assert_eq!(agg.diverged, 1);
         assert_eq!(agg.stats.runs, 1);
         assert_eq!(agg.stats.mean_makespan, 10.0);
@@ -786,12 +713,50 @@ mod tests {
         assert_eq!(agg.stats.mean_wasted, 1.0, "converged runs only");
         // The diverged run's censored count (50 ≥ 10) enters the tail.
         assert_eq!(agg.p_tail, 0.5);
-        let all = [some[1]];
-        let agg = super::aggregate_censored(&all, 10);
+        let agg = super::aggregate_censored(&some[1..]);
         assert_eq!(agg.diverged, 1);
         assert_eq!(agg.stats.runs, 0);
         assert!(agg.stats.mean_makespan.is_infinite());
         assert_eq!(agg.stats.mean_failures, 50.0);
         assert_eq!(agg.stats.mean_wasted, 0.0);
+    }
+
+    #[test]
+    fn zero_runs_report_no_data_not_censoring() {
+        // No run made is no run censored: both entry points return the
+        // NaN no-data aggregate of `McStats::from_runs`, not the ∞ of an
+        // all-diverged estimate.
+        let w = generate(WorkflowClass::Genome, 30, 4);
+        let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
+        let pipe = Pipeline::new(
+            &w,
+            Platform::new(4, lambda, 1e7),
+            &AllocateConfig::default(),
+        );
+        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let model = &pipe.platform.model;
+        let empty = |estimator| SimConfig {
+            runs: 0,
+            estimator,
+            ..Default::default()
+        };
+        let seg = montecarlo_segments_model(&sg, model, &empty(Estimator::Naive));
+        for r in [
+            montecarlo_none_model(&w.dag, &pipe.schedule, model, &empty(Estimator::Naive)),
+            montecarlo_none_model(
+                &w.dag,
+                &pipe.schedule,
+                model,
+                &empty(Estimator::Splitting(SplitConfig::default())),
+            ),
+        ] {
+            assert_eq!(r.diverged, 0);
+            assert!(r.p_tail.is_nan() && r.p_tail_stderr.is_nan());
+            for s in [r.stats, seg] {
+                assert_eq!(s.runs, 0);
+                assert!(s.mean_makespan.is_nan() && s.stderr.is_nan());
+                assert!(s.mean_failures.is_nan() && s.mean_wasted.is_nan());
+            }
+        }
     }
 }

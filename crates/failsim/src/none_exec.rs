@@ -591,8 +591,8 @@ impl Ord for EventBox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::{ExpFailures, TraceFailures};
-    use ckpt_core::{allocate, AllocateConfig};
+    use crate::failure::{ModelFailures, TraceFailures};
+    use ckpt_core::{allocate, AllocateConfig, FailureModel};
     use mspg::{Mspg, Workflow};
 
     /// a → b with a on P0, b on P1; weights 2 and 3.
@@ -678,7 +678,7 @@ mod tests {
             let w = pegasus::generate(class, 50, 3);
             let sched = allocate(&w, 5, &AllocateConfig::default());
             let wpar = sched.failure_free_parallel_time(&w.dag);
-            let mut src = ExpFailures::new(0.0, 1);
+            let mut src = ModelFailures::new(FailureModel::exponential(0.0), 1);
             let stats = simulate_none(&w.dag, &sched, &mut src, 10).unwrap();
             assert!(
                 (stats.makespan - wpar).abs() < 1e-6 * wpar,
@@ -697,7 +697,7 @@ mod tests {
         let runs = 100;
         let mean: f64 = (0..runs)
             .map(|s| {
-                let mut src = ExpFailures::new(lambda, s);
+                let mut src = ModelFailures::new(FailureModel::exponential(lambda), s);
                 simulate_none(&w.dag, &sched, &mut src, 100_000)
                     .unwrap()
                     .makespan
@@ -715,10 +715,10 @@ mod tests {
         let w = pegasus::generate(pegasus::WorkflowClass::Genome, 40, 5);
         let sched = allocate(&w, 3, &AllocateConfig::default());
         let lambda = ckpt_core::lambda_from_pfail(0.2, w.dag.mean_weight());
-        let mut one = ExpFailures::new(lambda, 9);
+        let mut one = ModelFailures::new(FailureModel::exponential(lambda), 9);
         let oneshot = simulate_none(&w.dag, &sched, &mut one, 100_000).unwrap();
         let st = NoneStatic::new(&w.dag, &sched, true);
-        let mut src = ExpFailures::new(lambda, 9);
+        let mut src = ModelFailures::new(FailureModel::exponential(lambda), 9);
         let mut state = NoneState::new(&st, &mut src);
         let mut k = 1;
         loop {

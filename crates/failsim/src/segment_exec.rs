@@ -16,25 +16,6 @@ use ckpt_core::{FailureModel, SegmentGraph};
 use crate::failure::ModelSampler;
 use crate::metrics::ExecStats;
 
-/// Simulates one execution of a coalesced (checkpointed) schedule under
-/// exponential failures of rate `lambda` per processor (instant reboot,
-/// the paper's model).
-pub fn simulate_segments(sg: &SegmentGraph, lambda: f64, seed: u64) -> ExecStats {
-    simulate_segments_model(sg, &FailureModel::exponential(lambda), seed)
-}
-
-/// Like [`simulate_segments`] but each failure additionally costs
-/// `downtime` seconds of processor unavailability before the segment
-/// restarts (a fidelity knob the paper's instant-reboot model sets to 0).
-pub fn simulate_segments_downtime(
-    sg: &SegmentGraph,
-    lambda: f64,
-    downtime: f64,
-    seed: u64,
-) -> ExecStats {
-    simulate_segments_model_downtime(sg, &FailureModel::exponential(lambda), downtime, seed)
-}
-
 /// Simulates one execution under an arbitrary [`FailureModel`]: every
 /// attempt of a segment restarts a rejuvenated processor, so each draws
 /// a fresh time-to-failure from the model. For non-memoryless models
@@ -42,17 +23,6 @@ pub fn simulate_segments_downtime(
 /// `CostCtx::expected_segment_time` solves by quadrature — the simulator
 /// is the ground truth for that numeric path.
 pub fn simulate_segments_model(sg: &SegmentGraph, model: &FailureModel, seed: u64) -> ExecStats {
-    simulate_segments_model_downtime(sg, model, 0.0, seed)
-}
-
-/// [`simulate_segments_model`] with per-failure reboot downtime.
-pub fn simulate_segments_model_downtime(
-    sg: &SegmentGraph,
-    model: &FailureModel,
-    downtime: f64,
-    seed: u64,
-) -> ExecStats {
-    assert!(downtime >= 0.0);
     let mut src = ModelSampler::new(*model, seed);
     let order = sg.pdag.topo_order();
     let mut finish = vec![0.0f64; sg.segments.len()];
@@ -65,7 +35,7 @@ pub fn simulate_segments_model_downtime(
             .map(|u| finish[u.index()])
             .fold(0.0f64, f64::max);
         let base = sg.segments[v.index()].cost.base();
-        let dur = sample_duration(base, downtime, &mut src, &mut stats);
+        let dur = sample_duration(base, &mut src, &mut stats);
         finish[v.index()] = start + dur;
         stats.makespan = stats.makespan.max(finish[v.index()]);
     }
@@ -74,7 +44,7 @@ pub fn simulate_segments_model_downtime(
 
 /// Renewal sampling of one segment's wall-clock duration: attempts of span
 /// `base` repeat until no failure strikes within the attempt.
-fn sample_duration(base: f64, downtime: f64, src: &mut ModelSampler, stats: &mut ExecStats) -> f64 {
+fn sample_duration(base: f64, src: &mut ModelSampler, stats: &mut ExecStats) -> f64 {
     if base == 0.0 {
         return 0.0;
     }
@@ -84,7 +54,7 @@ fn sample_duration(base: f64, downtime: f64, src: &mut ModelSampler, stats: &mut
         if strike >= base {
             return elapsed + base;
         }
-        elapsed += strike + downtime;
+        elapsed += strike;
         stats.n_failures += 1;
         stats.n_reexecs += 1;
         stats.wasted_time += strike;
@@ -108,7 +78,7 @@ mod tests {
     #[test]
     fn zero_failures_reproduce_deterministic_makespan() {
         let sg = segment_graph(0.0, 5);
-        let stats = simulate_segments(&sg, 0.0, 1);
+        let stats = simulate_segments_model(&sg, &FailureModel::exponential(0.0), 1);
         assert_eq!(stats.n_failures, 0);
         assert_eq!(stats.wasted_time, 0.0);
         assert!((stats.makespan - sg.pdag.makespan_low()).abs() < 1e-9);
@@ -118,9 +88,9 @@ mod tests {
     fn failures_only_lengthen() {
         let sg = segment_graph(0.01, 5);
         let base = sg.pdag.makespan_low();
-        let lambda = ckpt_core::lambda_from_pfail(0.01, 50.0);
+        let model = FailureModel::exponential(ckpt_core::lambda_from_pfail(0.01, 50.0));
         for seed in 0..50 {
-            let stats = simulate_segments(&sg, lambda, seed);
+            let stats = simulate_segments_model(&sg, &model, seed);
             assert!(stats.makespan >= base - 1e-9);
         }
     }
@@ -128,44 +98,10 @@ mod tests {
     #[test]
     fn seeded_reproducibility() {
         let sg = segment_graph(0.01, 5);
-        let a = simulate_segments(&sg, 1e-4, 9);
-        let b = simulate_segments(&sg, 1e-4, 9);
+        let model = FailureModel::exponential(1e-4);
+        let a = simulate_segments_model(&sg, &model, 9);
+        let b = simulate_segments_model(&sg, &model, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn downtime_only_lengthens() {
-        let sg = segment_graph(0.01, 5);
-        let lambda = ckpt_core::lambda_from_pfail(0.01, 50.0);
-        let mut strictly_longer = 0usize;
-        let mut any_failures = 0usize;
-        for seed in 0..30 {
-            let fast = simulate_segments_downtime(&sg, lambda, 0.0, seed);
-            let slow = simulate_segments_downtime(&sg, lambda, 60.0, seed);
-            // Same RNG consumption → identical failure draws.
-            assert_eq!(slow.n_failures, fast.n_failures);
-            assert!(slow.makespan >= fast.makespan);
-            if fast.n_failures > 0 {
-                any_failures += 1;
-                // A failure off the critical path can be absorbed by
-                // slack, so only count strict increases.
-                if slow.makespan > fast.makespan {
-                    strictly_longer += 1;
-                }
-            }
-        }
-        assert!(any_failures > 0, "want some failing runs at this rate");
-        assert!(strictly_longer > 0, "60s reboots must show up somewhere");
-    }
-
-    #[test]
-    fn zero_downtime_matches_plain_api() {
-        let sg = segment_graph(0.01, 5);
-        let lambda = ckpt_core::lambda_from_pfail(0.01, 50.0);
-        assert_eq!(
-            simulate_segments(&sg, lambda, 3),
-            simulate_segments_downtime(&sg, lambda, 0.0, 3)
-        );
     }
 
     #[test]
@@ -173,8 +109,9 @@ mod tests {
         let sg = segment_graph(0.01, 5);
         let runs = 200;
         let count = |lambda: f64| -> f64 {
+            let model = FailureModel::exponential(lambda);
             (0..runs)
-                .map(|s| simulate_segments(&sg, lambda, s).n_failures as f64)
+                .map(|s| simulate_segments_model(&sg, &model, s).n_failures as f64)
                 .sum::<f64>()
                 / runs as f64
         };

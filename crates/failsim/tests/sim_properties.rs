@@ -3,8 +3,8 @@
 use ckpt_core::policy::{CheckpointPolicy, DalyPeriodic, GreedyCrossover, RiskThreshold};
 use ckpt_core::{allocate, AllocateConfig, CostCtx, FailureModel, Pipeline, Platform, Strategy};
 use failsim::{
-    montecarlo_segments_model, simulate_none, simulate_none_reference, simulate_segments,
-    simulate_segments_model, ExpFailures, ModelFailures, SimConfig, TraceFailures,
+    montecarlo_segments_model, simulate_none, simulate_none_reference, simulate_segments_model,
+    ModelFailures, SimConfig, TraceFailures,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use proptest::prelude::*;
@@ -31,10 +31,10 @@ proptest! {
         let platform = Platform::new(p, 0.0, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
         let sg = pipe.segment_graph(Strategy::CkptSome);
-        let stats = simulate_segments(&sg, 0.0, seed);
+        let stats = simulate_segments_model(&sg, &platform.model, seed);
         prop_assert!((stats.makespan - sg.pdag.makespan_low()).abs() < 1e-6);
         prop_assert_eq!(stats.n_failures, 0);
-        let mut src = ExpFailures::new(0.0, seed);
+        let mut src = ModelFailures::new(platform.model, seed);
         let none = simulate_none(&w.dag, &pipe.schedule, &mut src, 10).unwrap();
         let wpar = pipe.schedule.failure_free_parallel_time(&w.dag);
         prop_assert!((none.makespan - wpar).abs() < 1e-6 * wpar.max(1.0),
@@ -51,7 +51,7 @@ proptest! {
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
         let sg = pipe.segment_graph(Strategy::CkptAll);
         let floor = sg.pdag.makespan_low();
-        let stats = simulate_segments(&sg, lambda, seed);
+        let stats = simulate_segments_model(&sg, &platform.model, seed);
         prop_assert!(stats.makespan >= floor - 1e-9);
         prop_assert!(stats.wasted_time >= 0.0);
         if stats.n_failures == 0 {
@@ -144,10 +144,10 @@ proptest! {
         let platform = Platform::new(3, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
         let sg = pipe.segment_graph(Strategy::CkptAll);
-        let a = simulate_segments(&sg, lambda, seed);
+        let a = simulate_segments_model(&sg, &platform.model, seed);
         let b = simulate_segments_model(&sg, &weibull, seed);
         prop_assert_eq!(a, b);
-        let mut exp_src = ExpFailures::new(lambda, seed);
+        let mut exp_src = ModelFailures::new(platform.model, seed);
         let mut wei_src = ModelFailures::new(weibull, seed);
         let na = simulate_none(&w.dag, &pipe.schedule, &mut exp_src, 100_000);
         let nb = simulate_none(&w.dag, &pipe.schedule, &mut wei_src, 100_000);
@@ -306,8 +306,9 @@ proptest! {
         let sg = pipe.segment_graph(Strategy::CkptSome);
         let runs = 300;
         let mean = |lambda: f64| -> f64 {
+            let model = FailureModel::exponential(lambda);
             (0..runs)
-                .map(|i| simulate_segments(&sg, lambda, seed.wrapping_add(i)).makespan)
+                .map(|i| simulate_segments_model(&sg, &model, seed.wrapping_add(i)).makespan)
                 .sum::<f64>() / runs as f64
         };
         let lo = mean(1e-6);

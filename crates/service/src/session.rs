@@ -78,7 +78,7 @@ use ckpt_core::stage::{
     curve_stage, inject, placement_stage, schedule_stage, segment_topology_stage, traced, StageId,
 };
 use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
-use failsim::{montecarlo_segments_model, montecarlo_segments_model_abortable, McStats, SimConfig};
+use failsim::{montecarlo_segments_model_abortable, McStats, SimConfig};
 use mspg::TaskId;
 use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
@@ -827,15 +827,9 @@ impl Session {
                     let sg = topology.with_model(&ctx);
                     traced(StageId::EvalMc, || {
                         inject(StageId::EvalMc)?;
-                        match budget {
-                            None => Ok(montecarlo_segments_model(&sg, &model, &cfg)),
-                            Some(b) => {
-                                montecarlo_segments_model_abortable(&sg, &model, &cfg, &|| {
-                                    b.is_exhausted()
-                                })
-                                .ok_or(PlanError::Cancelled)
-                            }
-                        }
+                        let abort = || budget.is_some_and(Budget::is_exhausted);
+                        montecarlo_segments_model_abortable(&sg, &model, &cfg, &abort)
+                            .ok_or(PlanError::Cancelled)
                     })
                 });
                 match res {

@@ -8,7 +8,7 @@
 //! ```
 
 use ckpt_workflows::prelude::*;
-use failsim::{montecarlo_none, montecarlo_segments};
+use failsim::{montecarlo_none_model, montecarlo_segments_model};
 
 fn main() {
     let runs: usize = std::env::args()
@@ -41,7 +41,7 @@ fn main() {
                 .assess(strategy, &PathApprox::default())
                 .expected_makespan;
             let sg = pipe.segment_graph(strategy);
-            let sim = montecarlo_segments(&sg, lambda, &cfg);
+            let sim = montecarlo_segments_model(&sg, &pipe.platform.model, &cfg);
             println!(
                 "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s",
                 pfail,
@@ -56,7 +56,7 @@ fn main() {
         let model = pipe
             .assess(Strategy::CkptNone, &PathApprox::default())
             .expected_makespan;
-        let sim = montecarlo_none(&w.dag, &pipe.schedule, lambda, &cfg);
+        let sim = montecarlo_none_model(&w.dag, &pipe.schedule, &pipe.platform.model, &cfg);
         println!(
             "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s  ({} diverged)",
             pfail,
@@ -113,7 +113,7 @@ fn main() {
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
         let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
         let sg = pipe.segment_graph(Strategy::CkptSome);
-        let sim = failsim::montecarlo_segments_model(&sg, &model, &cfg);
+        let sim = montecarlo_segments_model(&sg, &model, &cfg);
         println!(
             "{:>24} {:>11.0}s {:>11.0}s {:>8.2} {:>6}",
             label,

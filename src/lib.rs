@@ -53,10 +53,7 @@ pub mod prelude {
         GreedyCrossover, Pipeline, Platform, RiskThreshold, Schedule, SegmentGraph, Strategy,
         Superchain,
     };
-    pub use failsim::{
-        simulate_none, simulate_segments, simulate_segments_model, ExpFailures, ModelFailures,
-        SimConfig,
-    };
+    pub use failsim::{simulate_none, simulate_segments_model, ModelFailures, SimConfig};
     pub use mspg::{Dag, Mspg, TaskId, Workflow};
     pub use pegasus::WorkflowClass;
     pub use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox, ProbDag};

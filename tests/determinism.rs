@@ -109,14 +109,14 @@ fn simulators_are_bitwise_deterministic() {
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
     let sg = pipe.segment_graph(Strategy::CkptAll);
 
-    let a = simulate_segments(&sg, platform.lambda(), 21);
-    let b = simulate_segments(&sg, platform.lambda(), 21);
+    let a = simulate_segments_model(&sg, &platform.model, 21);
+    let b = simulate_segments_model(&sg, &platform.model, 21);
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
     assert_eq!(a.n_failures, b.n_failures);
     assert_eq!(a.wasted_time.to_bits(), b.wasted_time.to_bits());
 
     let run_none = || {
-        let mut src = ExpFailures::new(platform.lambda(), 5);
+        let mut src = ModelFailures::new(platform.model, 5);
         simulate_none(&w.dag, &pipe.schedule, &mut src, 100_000).unwrap()
     };
     let (x, y) = (run_none(), run_none());
@@ -129,8 +129,8 @@ fn simulators_are_bitwise_deterministic() {
         threads: 2,
         ..Default::default()
     };
-    let ma = failsim::montecarlo_segments(&sg, platform.lambda(), &cfg);
-    let mb = failsim::montecarlo_segments(&sg, platform.lambda(), &cfg);
+    let ma = failsim::montecarlo_segments_model(&sg, &platform.model, &cfg);
+    let mb = failsim::montecarlo_segments_model(&sg, &platform.model, &cfg);
     assert_eq!(ma.mean_makespan.to_bits(), mb.mean_makespan.to_bits());
     assert_eq!(ma.stderr.to_bits(), mb.stderr.to_bits());
     assert_eq!(ma.mean_failures.to_bits(), mb.mean_failures.to_bits());

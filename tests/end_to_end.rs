@@ -2,7 +2,7 @@
 //! coalescing → evaluators → simulator, on all three workflow classes.
 
 use ckpt_workflows::prelude::*;
-use failsim::montecarlo_segments;
+use failsim::montecarlo_segments_model;
 use pegasus::ccr::scale_to_ccr;
 
 const BW: f64 = 1e8;
@@ -102,9 +102,9 @@ fn simulation_validates_first_order_model() {
         .assess(Strategy::CkptSome, &PathApprox::default())
         .expected_makespan;
     let sg = pipe.segment_graph(Strategy::CkptSome);
-    let sim = montecarlo_segments(
+    let sim = montecarlo_segments_model(
         &sg,
-        platform.lambda(),
+        &platform.model,
         &SimConfig {
             runs: 3000,
             seed: 2,
