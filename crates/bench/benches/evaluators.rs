@@ -4,14 +4,16 @@
 //! and the coalescing that builds their input graphs.
 
 use ckpt_bench::{instance, pipeline_for};
-use ckpt_core::{coalesce, coalesce_topology, CostCtx, Strategy};
+use ckpt_core::{
+    coalesce, coalesce_topology, CheckpointPolicy, CkptAllPolicy, CostCtx, DpOptimalPolicy,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
 fn bench_evaluators(c: &mut Criterion) {
     let w = instance(pegasus::WorkflowClass::Genome, 300, 1e-3, 42);
     let pipe = pipeline_for(&w, 18, 0.01, 42);
-    let sg = pipe.segment_graph(Strategy::CkptAll);
+    let sg = pipe.segment_graph(&CkptAllPolicy);
     let pdag = sg.pdag;
 
     let mut group = c.benchmark_group("evaluators-genome300");
@@ -48,14 +50,14 @@ fn bench_pathapprox_montage(c: &mut Criterion) {
     // allocations); `fresh` constructs a new evaluator per run.
     let w = instance(pegasus::WorkflowClass::Montage, 300, 1e-3, 42);
     let pipe = pipeline_for(&w, 18, 0.01, 42);
-    let sg = pipe.segment_graph(Strategy::CkptAll);
+    let sg = pipe.segment_graph(&CkptAllPolicy);
     let pdag = sg.pdag;
     // The what-if first visit's shape: the CkptSome graph of the
     // Montage-300 instance the service benchmark queries (seed 9, CCR
     // 0.05, 18 processors), at pfail 1e-3.
     let w9 = instance(pegasus::WorkflowClass::Montage, 300, 0.05, 9);
     let some = pipeline_for(&w9, 18, 1e-3, 9)
-        .segment_graph(Strategy::CkptSome)
+        .segment_graph(&DpOptimalPolicy)
         .pdag;
 
     let mut group = c.benchmark_group("pathapprox-montage300-k256");
@@ -80,11 +82,10 @@ fn bench_coalesce_montage(c: &mut Criterion) {
     let pipe = pipeline_for(&w, 18, 1e-3, 9);
     let ctx = CostCtx::with_model(&w.dag, pipe.platform.model, pipe.platform.bandwidth);
     let mut group = c.benchmark_group("coalesce-montage300");
-    for (name, strategy) in [
-        ("ckptsome", Strategy::CkptSome),
-        ("ckptall", Strategy::CkptAll),
-    ] {
-        let plan = pipe.plan(strategy);
+    let policies: [(&str, &dyn CheckpointPolicy); 2] =
+        [("ckptsome", &DpOptimalPolicy), ("ckptall", &CkptAllPolicy)];
+    for (name, policy) in policies {
+        let plan = pipe.plan(policy);
         let topo = coalesce_topology(&w.dag, ctx.bandwidth, &pipe.schedule, &plan);
         group.bench_function(format!("{name}/coalesce"), |b| {
             b.iter(|| coalesce(&ctx, &pipe.schedule, &plan))

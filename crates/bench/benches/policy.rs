@@ -36,7 +36,7 @@ fn bench_policy_planning(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{class}-300")),
                 &pipe,
-                |b, pipe| b.iter(|| pipe.plan_policy_reusing(policy, &mut scratch)),
+                |b, pipe| b.iter(|| pipe.plan_reusing(policy, &mut scratch)),
             );
         }
     }
@@ -63,7 +63,7 @@ fn bench_policy_planning_weibull(c: &mut Criterion) {
     ];
     for (name, policy) in policies {
         group.bench_function(BenchmarkId::new(name, "genome-300"), |b| {
-            b.iter(|| pipe.plan_policy_reusing(policy, &mut scratch))
+            b.iter(|| pipe.plan_reusing(policy, &mut scratch))
         });
     }
     group.finish();

@@ -3,14 +3,14 @@
 //! engine).
 
 use ckpt_bench::{instance, pipeline_for};
-use ckpt_core::Strategy;
+use ckpt_core::DpOptimalPolicy;
 use criterion::{criterion_group, criterion_main, Criterion};
 use failsim::{simulate_none, simulate_segments_model, ModelFailures};
 
 fn bench_sim(c: &mut Criterion) {
     let w = instance(pegasus::WorkflowClass::Genome, 300, 1e-3, 42);
     let pipe = pipeline_for(&w, 18, 0.001, 42);
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = pipe.segment_graph(&DpOptimalPolicy);
 
     let mut group = c.benchmark_group("failsim-genome300");
     group.bench_function("segments-one-run", |b| {

@@ -52,7 +52,7 @@ fn main() {
             "{:8} {:5} {:9} {:6} {:>11} {:>12.4} {:>12.4} {:>10.6}",
             r.class.name(),
             r.size,
-            r.strategy.name(),
+            r.strategy,
             r.nodes,
             r.evaluator,
             r.estimate,

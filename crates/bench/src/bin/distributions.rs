@@ -28,14 +28,7 @@ fn main() {
     let mc_threads: usize = args.get_or("mc-threads", 0);
     let plan_threads: usize = args.get_or("plan-threads", 1);
     let out_dir: String = args.get_or("out", "results".to_owned());
-    let sizes: Vec<usize> = args
-        .get("sizes")
-        .map(|s| {
-            s.split(',')
-                .map(|x| x.parse().expect("bad --sizes entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![50]);
+    let sizes: Vec<usize> = args.list_or("sizes", vec![50]);
     let cfg = EngineConfig {
         threads,
         mc_threads,

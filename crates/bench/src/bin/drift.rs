@@ -24,14 +24,7 @@ fn main() {
     let threads: usize = args.get_or("threads", 0);
     let self_check: usize = args.get_or("self-check", 1);
     let out_dir: String = args.get_or("out", "results".to_owned());
-    let sizes: Vec<usize> = args
-        .get("sizes")
-        .map(|s| {
-            s.split(',')
-                .map(|x| x.parse().expect("bad --sizes entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![50, 300]);
+    let sizes: Vec<usize> = args.list_or("sizes", vec![50, 300]);
     println!(
         "# E12 incremental drift sweep (cold self-check: {})",
         self_check != 0

@@ -25,8 +25,8 @@ fn main() {
     let seed: u64 = args.get_or("seed", 42);
     let threads: usize = args.get_or("threads", 0);
     let out_dir: String = args.get_or("out", "results".to_owned());
-    let classes: Vec<WorkflowClass> = match args.get("workflow") {
-        Some(c) => vec![c.parse().expect("unknown workflow class")],
+    let classes: Vec<WorkflowClass> = match args.parsed("workflow") {
+        Some(c) => vec![c],
         None => WorkflowClass::ALL.to_vec(),
     };
     let mut cfg = EngineConfig::with_threads(threads);

@@ -25,7 +25,7 @@ use ckpt_bench::engine::in_stage;
 use ckpt_bench::{Args, ObsOut, BANDWIDTH};
 use ckpt_core::stage::{schedule_stage, segment_graph_stage, wall_summary};
 use ckpt_core::{
-    lambda_from_pfail, AllocateConfig, CostCtx, Pipeline, Platform, StageId, Strategy,
+    lambda_from_pfail, AllocateConfig, CostCtx, DpOptimalPolicy, Pipeline, Platform, StageId,
 };
 use mspg::linearize::Linearizer;
 use probdag::{Evaluator, PathApprox};
@@ -60,7 +60,7 @@ fn main() {
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, BANDWIDTH);
     let pipe = Pipeline::with_schedule(&w, platform, schedule).with_plan_threads(plan_threads);
-    let plan = pipe.plan(Strategy::CkptSome);
+    let plan = pipe.plan(&DpOptimalPolicy);
     // Coalesce the computed plan rather than replanning through
     // `segment_graph`.
     let ctx = CostCtx::exponential(&w.dag, lambda, BANDWIDTH);

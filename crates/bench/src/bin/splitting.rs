@@ -2,7 +2,7 @@
 //! CkptNone under Weibull wear-out (`k = 2`) at `pfail ∈ {1e-3, 1e-4}`,
 //! where almost no naive trajectory samples a failure cascade and the
 //! makespan CI is driven by a handful of lucky draws. The multilevel
-//! splitting estimator ([`failsim::Estimator::Splitting`]) clones every
+//! splitting estimator ([`failsim::SplitConfig`]) clones every
 //! trajectory that survives `stride` failures and weights the leaves,
 //! smoothing exactly that tail.
 //!
@@ -25,9 +25,9 @@
 //!     [--mc-threads 0] [--out results]
 //! ```
 
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::{usage_error, Args, ObsOut};
 use ckpt_core::{allocate, AllocateConfig, FailureModel};
-use failsim::{montecarlo_none_model, Estimator, NoneMcStats, SimConfig, SplitConfig};
+use failsim::{montecarlo_none_model, NoneMcStats, SimConfig, SplitConfig};
 use pegasus::{generate, WorkflowClass};
 use std::io::Write;
 use std::time::Instant;
@@ -45,17 +45,20 @@ fn main() {
     let obs_out = ObsOut::from_args(&args);
     let max_runs: usize = args.get_or("runs", 65_536);
     let seed: u64 = args.get_or("seed", 42);
-    let factor: Option<usize> = args.get("factor").map(|v| v.parse().expect("factor"));
+    let factor: Option<usize> = args.parsed("factor");
     let stride: usize = args.get_or("stride", 1);
+    if let Some(f) = factor.filter(|&f| f < 2) {
+        usage_error(&format!("--factor must be at least 2, got {f}"));
+    }
+    if stride < 1 {
+        usage_error("--stride must be at least 1, got 0");
+    }
     let max_levels: usize = args.get_or("levels", 8);
     let tail_at: usize = args.get_or("tail-at", stride * max_levels);
     let mc_threads: usize = args.get_or("mc-threads", 0);
     let procs: usize = args.get_or("procs", 4);
     let out_dir: String = args.get_or("out", "results".to_owned());
-    let pfails: Vec<f64> = args
-        .get("pfails")
-        .map(|v| v.split(',').map(|s| s.parse().expect("pfail")).collect())
-        .unwrap_or_else(|| vec![1e-3, 1e-4]);
+    let pfails: Vec<f64> = args.list_or("pfails", vec![1e-3, 1e-4]);
 
     // The E9 wear-out corner: Genome/50, Weibull k = 2 calibrated to
     // the per-task pfail.
@@ -81,16 +84,16 @@ fn main() {
     for &pfail in &pfails {
         let model = FailureModel::weibull_from_pfail(2.0, pfail, w.dag.mean_weight());
         for &runs in &ladder {
-            for (name, estimator) in [
-                ("naive", Estimator::Naive),
-                ("splitting", Estimator::Splitting(split_for(pfail))),
+            for (name, split) in [
+                ("naive", SplitConfig::default()),
+                ("splitting", split_for(pfail)),
             ] {
                 let cfg = SimConfig {
                     runs,
                     seed,
                     threads: mc_threads,
                     max_failures: 10_000,
-                    estimator,
+                    split,
                     tail_at,
                 };
                 let t = Instant::now();

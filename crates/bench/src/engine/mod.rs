@@ -1,7 +1,8 @@
 //! # engine — the unified parallel scenario engine (E1–E10)
 //!
 //! The paper's evaluation is one big Cartesian grid — workflow class ×
-//! size × processor count × pfail × CCR × strategy — which the harness
+//! size × processor count × pfail × CCR, each cell comparing the
+//! placements on one schedule — which the harness
 //! binaries used to walk with per-binary copies of hand-rolled nested
 //! loops, serially, regenerating every workflow at every grid point.
 //! This module replaces all of that with one declarative engine:
@@ -49,7 +50,7 @@ pub mod spec;
 
 pub use pool::ordered_parallel;
 pub use sink::{CsvFileSink, NullSink, RowSink, StringSink};
-pub use spec::{CcrAxis, Cell, Grid, ProcAxis, StrategyAxis};
+pub use spec::{CcrAxis, Cell, Grid, ProcAxis};
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -426,7 +427,6 @@ mod tests {
                 procs: ProcAxis::Explicit(vec![3, 5]),
                 pfails: vec![0.01],
                 ccrs: CcrAxis::Explicit(vec![1e-3, 1e-2, 1e-1]),
-                strategies: StrategyAxis::Combined,
                 instances: 2,
                 base_seed: 9,
             }

@@ -1,7 +1,7 @@
 //! Declarative grid specification: which cells an experiment visits, in
 //! which canonical order, and with which derived seeds.
 
-use ckpt_core::{Platform, Strategy};
+use ckpt_core::Platform;
 use pegasus::ccr::ccr_grid;
 use pegasus::WorkflowClass;
 
@@ -54,19 +54,9 @@ impl CcrAxis {
     }
 }
 
-/// Strategy axis of a [`Grid`].
-#[derive(Clone, Debug)]
-pub enum StrategyAxis {
-    /// One cell covers the whole strategy comparison (the figures
-    /// pattern: one row aggregates CkptSome / CkptAll / CkptNone).
-    Combined,
-    /// One cell per listed strategy (the accuracy-table pattern).
-    Each(Vec<Strategy>),
-}
-
 /// A declarative experiment grid: the Cartesian product of its axes,
-/// enumerated in canonical order
-/// `class → size → procs → pfail → CCR → strategy`.
+/// enumerated in canonical order `class → size → procs → pfail → CCR`.
+/// A cell covers every placement its scenario compares.
 ///
 /// Every `(class, size)` lane derives its own seed stream from
 /// `base_seed` via [`seedmix::derive`], so instance workflows are shared
@@ -84,8 +74,6 @@ pub struct Grid {
     pub pfails: Vec<f64>,
     /// Communication-to-computation ratios per class.
     pub ccrs: CcrAxis,
-    /// Strategy handling.
-    pub strategies: StrategyAxis,
     /// Workflow instances averaged (or enumerated) per cell.
     pub instances: usize,
     /// The single user-facing seed everything derives from.
@@ -108,8 +96,6 @@ pub struct Cell {
     pub pfail: f64,
     /// Communication-to-computation ratio.
     pub ccr: f64,
-    /// The cell's strategy, or `None` for combined-comparison cells.
-    pub strategy: Option<Strategy>,
     /// Workflow instances this cell aggregates.
     pub instances: usize,
     /// Seed of the `(class, size)` lane; instance `i` lives on
@@ -129,25 +115,16 @@ impl Grid {
                 for procs in self.procs.resolve(size) {
                     for &pfail in &self.pfails {
                         for &ccr in &ccrs {
-                            let strategies: Vec<Option<Strategy>> = match &self.strategies {
-                                StrategyAxis::Combined => vec![None],
-                                StrategyAxis::Each(list) => {
-                                    list.iter().copied().map(Some).collect()
-                                }
-                            };
-                            for strategy in strategies {
-                                cells.push(Cell {
-                                    index: cells.len(),
-                                    class,
-                                    size,
-                                    procs,
-                                    pfail,
-                                    ccr,
-                                    strategy,
-                                    instances: self.instances,
-                                    seed,
-                                });
-                            }
+                            cells.push(Cell {
+                                index: cells.len(),
+                                class,
+                                size,
+                                procs,
+                                pfail,
+                                ccr,
+                                instances: self.instances,
+                                seed,
+                            });
                         }
                     }
                 }
@@ -168,7 +145,6 @@ mod tests {
             procs: ProcAxis::Paper,
             pfails: vec![0.01, 0.001],
             ccrs: CcrAxis::ClassLog { points: 3 },
-            strategies: StrategyAxis::Combined,
             instances: 2,
             base_seed: 42,
         }
@@ -176,7 +152,7 @@ mod tests {
 
     #[test]
     fn cell_count_is_cartesian() {
-        // 2 classes × 2 sizes × 4 procs × 2 pfails × 3 CCRs × 1 (combined).
+        // 2 classes × 2 sizes × 4 procs × 2 pfails × 3 CCRs.
         assert_eq!(tiny().cells().len(), 2 * 2 * 4 * 2 * 3);
     }
 
@@ -206,16 +182,6 @@ mod tests {
         lanes.sort_unstable();
         lanes.dedup();
         assert_eq!(lanes.len(), 4);
-    }
-
-    #[test]
-    fn strategy_axis_expands_cells() {
-        let mut g = tiny();
-        g.strategies = StrategyAxis::Each(vec![Strategy::CkptAll, Strategy::CkptSome]);
-        let cells = g.cells();
-        assert_eq!(cells.len(), 2 * 2 * 4 * 2 * 3 * 2);
-        assert_eq!(cells[0].strategy, Some(Strategy::CkptAll));
-        assert_eq!(cells[1].strategy, Some(Strategy::CkptSome));
     }
 
     #[test]

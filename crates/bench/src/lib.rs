@@ -32,7 +32,9 @@ pub mod summary;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use ckpt_core::{lambda_from_pfail, AllocateConfig, Pipeline, Platform, Strategy};
+use ckpt_core::{
+    lambda_from_pfail, AllocateConfig, CkptAllPolicy, DpOptimalPolicy, Pipeline, Platform,
+};
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
@@ -111,9 +113,9 @@ pub fn figure_cell(
             ..Default::default()
         };
         let pipe = Pipeline::new(&w, platform, &cfg);
-        let some = pipe.assess(Strategy::CkptSome, &evaluator);
-        let all = pipe.assess(Strategy::CkptAll, &evaluator);
-        let none = pipe.assess(Strategy::CkptNone, &evaluator);
+        let some = pipe.assess(&DpOptimalPolicy, &evaluator);
+        let all = pipe.assess(&CkptAllPolicy, &evaluator);
+        let none = pipe.assess_none();
         em_some += some.expected_makespan;
         em_all += all.expected_makespan;
         em_none += none.expected_makespan;
@@ -248,12 +250,50 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parses `--key` as `T`, with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// Parses `--key` as `T`: `Ok(None)` when the flag is absent, an
+    /// error naming the flag and the value when it does not parse.
+    fn try_parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value {v:?} for --{key}"))
+            })
+            .transpose()
     }
+
+    /// Parses `--key` as `T` if it is given; a value that does not parse
+    /// is a [`usage_error`].
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.try_parse(key).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Parses `--key` as `T`, with a default when the flag is absent; a
+    /// value that does not parse is a [`usage_error`].
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.parsed(key).unwrap_or(default)
+    }
+
+    /// Parses `--key` as a comma-separated list of `T`, with a default
+    /// when the flag is absent; an entry that does not parse is a
+    /// [`usage_error`].
+    pub fn list_or<T: std::str::FromStr>(&self, key: &str, default: Vec<T>) -> Vec<T> {
+        let Some(v) = self.get(key) else {
+            return default;
+        };
+        v.split(',')
+            .map(|x| {
+                x.parse()
+                    .unwrap_or_else(|_| usage_error(&format!("invalid entry {x:?} in --{key}")))
+            })
+            .collect()
+    }
+}
+
+/// Prints `error: {msg}` to stderr and exits with status 2: a bad
+/// command line, reported without a panic or a backtrace.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// Observability outputs for a harness binary, parsed from
@@ -360,5 +400,18 @@ mod tests {
         assert_eq!(args.get("workflow"), Some("ligo"));
         assert_eq!(args.get_or("points", 9usize), 5);
         assert_eq!(args.get_or("instances", 3usize), 3);
+    }
+
+    #[test]
+    fn args_reject_values_that_do_not_parse() {
+        let args = Args {
+            pairs: vec![("runs".into(), "16x".into()), ("seed".into(), "7".into())],
+        };
+        assert_eq!(
+            args.try_parse::<usize>("runs"),
+            Err("invalid value \"16x\" for --runs".to_owned())
+        );
+        assert_eq!(args.try_parse::<u64>("seed"), Ok(Some(7)));
+        assert_eq!(args.try_parse::<u64>("levels"), Ok(None));
     }
 }

@@ -10,7 +10,10 @@
 use std::sync::Arc;
 
 use ckpt_core::stage::schedule_stage;
-use ckpt_core::{AllocateConfig, Schedule, StageId, Strategy};
+use ckpt_core::{
+    AllocateConfig, CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy, Schedule,
+    StageId,
+};
 use ckpt_service::{ModelSpec, PolicySpec};
 use failsim::{montecarlo_none_model, montecarlo_segments_model, SimConfig};
 use mspg::linearize::Linearizer;
@@ -19,7 +22,7 @@ use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
-use crate::engine::{in_stage, CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario, StrategyAxis};
+use crate::engine::{in_stage, CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario};
 use crate::{figure_csv, timed_eval, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES};
 
 /// E1/E2/E3 — one figure: relative expected makespan of CkptAll and
@@ -72,7 +75,6 @@ impl Scenario for FigureScenario {
             ccrs: CcrAxis::ClassLog {
                 points: self.ccr_points,
             },
-            strategies: StrategyAxis::Combined,
             instances: self.instances,
             base_seed: self.base_seed,
         }
@@ -88,14 +90,12 @@ impl Scenario for FigureScenario {
             let w = ctx.scaled_instance(cell, i);
             actual = w.n_tasks();
             let pipe = ctx.pipeline(cell, i, &w, Linearizer::RandomTopo);
-            let some = pipe.assess(Strategy::CkptSome, &evaluator);
+            let some = pipe.assess(&DpOptimalPolicy, &evaluator);
             em_some += some.expected_makespan;
             ckpts += some.n_checkpoints;
-            em_all += pipe.assess(Strategy::CkptAll, &evaluator).expected_makespan;
+            em_all += pipe.assess(&CkptAllPolicy, &evaluator).expected_makespan;
             // CkptNone is the Theorem 1 closed form — no planning stage.
-            em_none += pipe
-                .assess(Strategy::CkptNone, &evaluator)
-                .expected_makespan;
+            em_none += pipe.assess_none().expected_makespan;
         }
         let nf = cell.instances as f64;
         let (em_some, em_all, em_none) = (em_some / nf, em_all / nf, em_none / nf);
@@ -131,8 +131,9 @@ pub struct AccuracyRow {
     pub class: WorkflowClass,
     /// Requested task count.
     pub size: usize,
-    /// Strategy whose coalesced DAG is evaluated.
-    pub strategy: Strategy,
+    /// Placement whose coalesced DAG is evaluated (CkptAll or
+    /// CkptSome).
+    pub strategy: &'static str,
     /// Nodes of the coalesced 2-state DAG.
     pub nodes: usize,
     /// Evaluator name.
@@ -148,7 +149,9 @@ pub struct AccuracyRow {
 }
 
 /// E4 — §VI-B: accuracy and runtime of the four 2-state evaluators
-/// against the Monte Carlo ground truth.
+/// against the Monte Carlo ground truth. Each cell evaluates CkptAll's
+/// coalesced DAG, then CkptSome's, both with the cell's one Monte Carlo
+/// seed.
 #[derive(Clone, Debug)]
 pub struct AccuracyScenario {
     /// Monte Carlo trials for the ground truth (the paper uses 300 000).
@@ -179,7 +182,6 @@ impl Scenario for AccuracyScenario {
             procs: ProcAxis::PaperIndex(1),
             pfails: vec![self.pfail],
             ccrs: CcrAxis::ClassMid,
-            strategies: StrategyAxis::Each(vec![Strategy::CkptAll, Strategy::CkptSome]),
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -187,51 +189,52 @@ impl Scenario for AccuracyScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<AccuracyRow> {
-        let strategy = cell.strategy.expect("accuracy cells carry a strategy");
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
-        let sg = pipe.segment_graph(strategy);
         let mc = MonteCarlo {
             trials: self.trials,
             seed: ctx.instance_seed(cell, 0),
             threads: ctx.mc_threads,
         };
-        let (truth, mc_time) = in_stage(StageId::EvalMc, || {
-            let t0 = std::time::Instant::now();
-            let truth = mc.run(&sg.pdag);
-            (truth, t0.elapsed().as_secs_f64())
-        });
-        let evals = in_stage(StageId::EvalAnalytic, || {
-            vec![
-                ("MonteCarlo", truth.mean, mc_time),
-                {
-                    let (v, t) = timed_eval(&Dodin::default(), &sg.pdag);
-                    ("Dodin", v, t)
-                },
-                {
-                    let (v, t) = timed_eval(&NormalSculli, &sg.pdag);
-                    ("Normal", v, t)
-                },
-                {
-                    let (v, t) = timed_eval(&PathApprox::default(), &sg.pdag);
-                    ("PathApprox", v, t)
-                },
-            ]
-        });
-        evals
-            .into_iter()
-            .map(|(name, v, t)| AccuracyRow {
+        let policies: [&dyn CheckpointPolicy; 2] = [&CkptAllPolicy, &DpOptimalPolicy];
+        let mut rows = Vec::with_capacity(8);
+        for policy in policies {
+            let sg = pipe.segment_graph(policy);
+            let (truth, mc_time) = in_stage(StageId::EvalMc, || {
+                let t0 = std::time::Instant::now();
+                let truth = mc.run(&sg.pdag);
+                (truth, t0.elapsed().as_secs_f64())
+            });
+            let evals = in_stage(StageId::EvalAnalytic, || {
+                vec![
+                    ("MonteCarlo", truth.mean, mc_time),
+                    {
+                        let (v, t) = timed_eval(&Dodin::default(), &sg.pdag);
+                        ("Dodin", v, t)
+                    },
+                    {
+                        let (v, t) = timed_eval(&NormalSculli, &sg.pdag);
+                        ("Normal", v, t)
+                    },
+                    {
+                        let (v, t) = timed_eval(&PathApprox::default(), &sg.pdag);
+                        ("PathApprox", v, t)
+                    },
+                ]
+            });
+            rows.extend(evals.into_iter().map(|(name, v, t)| AccuracyRow {
                 class: cell.class,
                 size: cell.size,
-                strategy,
+                strategy: policy.name(),
                 nodes: sg.pdag.n_nodes(),
                 evaluator: name,
                 estimate: v,
                 rel_error_pct: 100.0 * (v - truth.mean).abs() / truth.mean,
                 runtime_s: t,
                 mc_stderr: truth.stderr,
-            })
-            .collect()
+            }));
+        }
+        rows
     }
 
     fn header(&self) -> String {
@@ -243,7 +246,7 @@ impl Scenario for AccuracyScenario {
             "{},{},{},{},{},{:.6},{:.4},{:.6},{:.6}",
             r.class.name(),
             r.size,
-            r.strategy.name(),
+            r.strategy,
             r.nodes,
             r.evaluator,
             r.estimate,
@@ -308,7 +311,6 @@ impl Scenario for ValidateScenario {
             procs: ProcAxis::PaperIndex(1),
             pfails: PFAILS.to_vec(),
             ccrs: CcrAxis::ClassMid,
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -326,12 +328,13 @@ impl Scenario for ValidateScenario {
         };
         let evaluator = PathApprox::default();
         let mut rows = Vec::with_capacity(3);
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome] {
+        let policies: [&dyn CheckpointPolicy; 2] = [&CkptAllPolicy, &DpOptimalPolicy];
+        for policy in policies {
             // One segment graph serves both the analytic estimate and the
             // simulation (assess = segment_graph + evaluator, so this is
             // bit-identical to assessing separately at half the planning
             // cost).
-            let sg = pipe.segment_graph(strategy);
+            let sg = pipe.segment_graph(policy);
             let model = in_stage(StageId::EvalAnalytic, || {
                 evaluator.expected_makespan(&sg.pdag)
             });
@@ -342,7 +345,7 @@ impl Scenario for ValidateScenario {
                 class: cell.class,
                 size: cell.size,
                 pfail: cell.pfail,
-                strategy: strategy.name(),
+                strategy: policy.name(),
                 model: "Eq2+PathApprox",
                 model_em: model,
                 sim_em: sim.mean_makespan,
@@ -351,9 +354,8 @@ impl Scenario for ValidateScenario {
                 diverged: 0,
             });
         }
-        let model = pipe
-            .assess(Strategy::CkptNone, &evaluator)
-            .expected_makespan;
+        let none = pipe.assess_none();
+        let model = none.expected_makespan;
         let sim = in_stage(StageId::EvalMc, || {
             montecarlo_none_model(&w.dag, &pipe.schedule, &pipe.platform.model, &cfg)
         });
@@ -361,7 +363,7 @@ impl Scenario for ValidateScenario {
             class: cell.class,
             size: cell.size,
             pfail: cell.pfail,
-            strategy: Strategy::CkptNone.name(),
+            strategy: none.policy,
             model: "Theorem1",
             model_em: model,
             sim_em: sim.stats.mean_makespan,
@@ -441,7 +443,6 @@ impl Scenario for LinearizationScenario {
             ccrs: CcrAxis::ClassLog {
                 points: self.ccr_points,
             },
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -453,7 +454,7 @@ impl Scenario for LinearizationScenario {
         let evaluator = PathApprox::default();
         let em = |lin: Linearizer| {
             ctx.pipeline(cell, 0, &w, lin)
-                .assess(Strategy::CkptSome, &evaluator)
+                .assess(&DpOptimalPolicy, &evaluator)
                 .expected_makespan
         };
         let em_random = em(Linearizer::RandomTopo);
@@ -535,7 +536,6 @@ impl Scenario for NaiveCoalesceScenario {
             ccrs: CcrAxis::ClassLog {
                 points: self.ccr_points,
             },
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -546,9 +546,9 @@ impl Scenario for NaiveCoalesceScenario {
         let w = ctx.scaled_instance(cell, 0);
         let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
-        let em_exit_only = em(Strategy::ExitOnly);
-        let em_ckptsome = em(Strategy::CkptSome);
+        let em = |policy: &dyn CheckpointPolicy| pipe.assess(policy, &evaluator).expected_makespan;
+        let em_exit_only = em(&ExitOnlyPolicy);
+        let em_ckptsome = em(&DpOptimalPolicy);
         vec![NaiveCoalesceRow {
             class: cell.class,
             size: cell.size,
@@ -660,8 +660,8 @@ impl LigoFootnoteScenario {
         let pipe = ckpt_core::Pipeline::with_schedule(&w, platform, schedule)
             .with_plan_threads(ctx.plan_threads);
         let evaluator = PathApprox::default();
-        let em = |strategy: Strategy| pipe.assess(strategy, &evaluator).expected_makespan;
-        em(Strategy::CkptAll) / em(Strategy::CkptSome)
+        let em = |policy: &dyn CheckpointPolicy| pipe.assess(policy, &evaluator).expected_makespan;
+        em(&CkptAllPolicy) / em(&DpOptimalPolicy)
     }
 }
 
@@ -681,7 +681,6 @@ impl Scenario for LigoFootnoteScenario {
             ccrs: CcrAxis::ClassLog {
                 points: self.ccr_points,
             },
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -819,7 +818,6 @@ impl DistributionsScenario {
             procs: ProcAxis::PaperIndex(1),
             pfails: self.pfails.clone(),
             ccrs: CcrAxis::ClassMid,
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -889,51 +887,52 @@ impl Scenario for DistributionsScenario {
         };
         let evaluator = PathApprox::default();
         let mut rows = Vec::with_capacity(4);
-        let mut row = |strategy: Strategy, model_em: f64, sim_em: f64, stderr: f64, div: usize| {
-            rows.push(DistributionRow {
-                class: cell.class,
-                size: cell.size,
-                procs: cell.procs,
-                pfail: cell.pfail,
-                ccr: cell.ccr,
-                model: model.family_name(),
-                shape: spec.shape(),
-                strategy: strategy.name(),
-                model_em,
-                sim_em,
-                sim_stderr: stderr,
-                // A fully censored simulation (every CkptNone run
-                // diverged, sim_em = ∞) has unbounded model error; keep
-                // the column an explicit `inf`, not `inf/inf = NaN`.
-                rel_err_pct: if sim_em.is_finite() {
-                    100.0 * (model_em - sim_em).abs() / sim_em
-                } else {
-                    f64::INFINITY
-                },
-                diverged: div,
-            });
-        };
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
-            // One segment graph per strategy for both columns (see
+        let mut row =
+            |strategy: &'static str, model_em: f64, sim_em: f64, stderr: f64, div: usize| {
+                rows.push(DistributionRow {
+                    class: cell.class,
+                    size: cell.size,
+                    procs: cell.procs,
+                    pfail: cell.pfail,
+                    ccr: cell.ccr,
+                    model: model.family_name(),
+                    shape: spec.shape(),
+                    strategy,
+                    model_em,
+                    sim_em,
+                    sim_stderr: stderr,
+                    // A fully censored simulation (every CkptNone run
+                    // diverged, sim_em = ∞) has unbounded model error; keep
+                    // the column an explicit `inf`, not `inf/inf = NaN`.
+                    rel_err_pct: if sim_em.is_finite() {
+                        100.0 * (model_em - sim_em).abs() / sim_em
+                    } else {
+                        f64::INFINITY
+                    },
+                    diverged: div,
+                });
+            };
+        let policies: [&dyn CheckpointPolicy; 3] =
+            [&CkptAllPolicy, &DpOptimalPolicy, &ExitOnlyPolicy];
+        for policy in policies {
+            // One segment graph per placement for both columns (see
             // ValidateScenario::run_cell).
-            let sg = pipe.segment_graph(strategy);
+            let sg = pipe.segment_graph(policy);
             let model_em = in_stage(StageId::EvalAnalytic, || {
                 evaluator.expected_makespan(&sg.pdag)
             });
             let sim = in_stage(StageId::EvalMc, || {
                 montecarlo_segments_model(&sg, &model, &cfg)
             });
-            row(strategy, model_em, sim.mean_makespan, sim.stderr, 0);
+            row(policy.name(), model_em, sim.mean_makespan, sim.stderr, 0);
         }
-        let model_em = pipe
-            .assess(Strategy::CkptNone, &evaluator)
-            .expected_makespan;
+        let none = pipe.assess_none();
         let sim = in_stage(StageId::EvalMc, || {
             montecarlo_none_model(&w.dag, &pipe.schedule, &model, &cfg)
         });
         row(
-            Strategy::CkptNone,
-            model_em,
+            none.policy,
+            none.expected_makespan,
             sim.stats.mean_makespan,
             sim.stats.stderr,
             sim.diverged,
@@ -1073,7 +1072,6 @@ impl StrategiesScenario {
             procs: ProcAxis::PaperIndex(1),
             pfails: self.pfails.clone(),
             ccrs: CcrAxis::ClassMid,
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -1140,7 +1138,7 @@ impl Scenario for StrategiesScenario {
         let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
         // One segment graph serves the analytic assessment (with its
         // placement census) and the simulation ground truth.
-        let sg = pipe.segment_graph_policy(policy.build().as_ref());
+        let sg = pipe.segment_graph(policy.build().as_ref());
         let assessment = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
         let cfg = SimConfig {
             runs: self.runs,
@@ -1319,7 +1317,6 @@ impl Scenario for DriftScenario {
             procs: ProcAxis::PaperIndex(1),
             pfails: vec![self.pfail],
             ccrs: CcrAxis::ClassMid,
-            strategies: StrategyAxis::Combined,
             instances: 1,
             base_seed: self.base_seed,
         }
@@ -1420,16 +1417,38 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_cells_carry_strategies() {
+    fn accuracy_cell_emits_ckptall_then_ckptsome_rows() {
         let s = AccuracyScenario {
-            trials: 100,
+            trials: 200,
             sizes: vec![50],
             pfail: 0.01,
             base_seed: 1,
         };
-        let cells = s.cells();
-        assert_eq!(cells.len(), 3 * 2);
-        assert!(cells.iter().all(|c| c.strategy.is_some()));
+        // Every column but the wall-clock `runtime_s` (the 8th).
+        let lines = |threads| {
+            let report =
+                engine::run(&s, &EngineConfig::with_threads(threads), &mut NullSink).unwrap();
+            assert_eq!(report.cells, 3);
+            assert_eq!(report.rows.len(), 3 * 8);
+            for cell in report.rows.chunks(8) {
+                for (k, r) in cell.iter().enumerate() {
+                    let strategy = if k < 4 { "CkptAll" } else { "CkptSome" };
+                    let evaluator = ["MonteCarlo", "Dodin", "Normal", "PathApprox"][k % 4];
+                    assert_eq!((r.strategy, r.evaluator), (strategy, evaluator), "row {k}");
+                    assert_eq!((r.class, r.size), (cell[0].class, cell[0].size));
+                }
+            }
+            report
+                .rows
+                .iter()
+                .map(|r| {
+                    let mut fields: Vec<String> = s.csv(r).split(',').map(str::to_owned).collect();
+                    fields.remove(7);
+                    fields.join(",")
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines(1), lines(3));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! The Monte Carlo never calls `check`: its replications run on scoped
 //! worker threads, where an unwind would re-raise through the join.
-//! It polls [`Budget::is_exhausted`] instead, once per replication,
-//! through `failsim::montecarlo_segments_model_abortable`, which
-//! returns `None` — no estimate — once the budget is spent.
+//! It polls [`Budget::is_exhausted`] instead, before each replication
+//! and after every failed segment attempt inside one, through
+//! `failsim::montecarlo_segments_model_abortable`, which returns `None`
+//! — no estimate — once the budget is spent.
 //!
 //! ## Abort mechanism
 //!

@@ -1,6 +1,8 @@
 //! End-to-end evaluation pipeline: schedule → checkpoint → expected
-//! makespan, for all strategies of the paper — and, since the policy
-//! subsystem, for any [`CheckpointPolicy`].
+//! makespan. A placement is named by its [`CheckpointPolicy`] object —
+//! the paper's CkptAll and CkptSome are [`crate::CkptAllPolicy`] and
+//! [`crate::DpOptimalPolicy`] — and CkptNone, which places nothing, is
+//! assessed by Theorem 1 ([`Pipeline::assess_none`]).
 
 use std::sync::Arc;
 
@@ -13,64 +15,9 @@ use crate::coalesce::{CheckpointPlan, SegmentGraph};
 use crate::error::PlanResult;
 use crate::failure_model::{FailureModel, RestartCurve};
 use crate::platform::Platform;
-use crate::policy::{
-    CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy, PolicyScratch,
-};
+use crate::policy::{CheckpointPolicy, PolicyScratch};
 use crate::schedule::Schedule;
 use crate::stage;
-
-/// The checkpointing strategies compared in §VI.
-///
-/// Since the policy subsystem this enum is a thin constructor over the
-/// builtin [`CheckpointPolicy`] implementations ([`Strategy::policy`]);
-/// it remains the stable axis of the legacy experiments (E1–E9).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// Checkpoint every task's output (the production default).
-    CkptAll,
-    /// Checkpoint nothing; expected makespan estimated by Theorem 1.
-    CkptNone,
-    /// The paper's contribution: superchain scheduling + optimal DP
-    /// checkpoint placement.
-    CkptSome,
-    /// Ablation (§II-C "naive solution"): checkpoint only superchain
-    /// exits.
-    ExitOnly,
-}
-
-impl Strategy {
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::CkptAll => "CkptAll",
-            Strategy::CkptNone => "CkptNone",
-            Strategy::CkptSome => "CkptSome",
-            Strategy::ExitOnly => "ExitOnly",
-        }
-    }
-
-    /// The builtin placement policy this strategy routes through, or
-    /// `None` for [`Strategy::CkptNone`] (which has no placement — it
-    /// is assessed by Theorem 1 and simulated by the crossover-cascade
-    /// executor).
-    pub fn policy(self) -> Option<&'static dyn CheckpointPolicy> {
-        static ALL: CkptAllPolicy = CkptAllPolicy;
-        static DP: DpOptimalPolicy = DpOptimalPolicy;
-        static EXIT: ExitOnlyPolicy = ExitOnlyPolicy;
-        match self {
-            Strategy::CkptAll => Some(&ALL),
-            Strategy::CkptSome => Some(&DP),
-            Strategy::ExitOnly => Some(&EXIT),
-            Strategy::CkptNone => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Theorem 1: estimated expected makespan of a no-checkpoint execution
 /// with failure-free parallel time `w_par` on `n_procs` processors of
@@ -95,12 +42,12 @@ pub fn theorem1_model(w_par: f64, n_procs: usize, model: &FailureModel) -> f64 {
     }
 }
 
-/// Outcome of assessing one policy (or legacy strategy) on one
+/// Outcome of assessing one placement policy, or CkptNone, on one
 /// scheduled workflow.
 #[derive(Clone, Debug)]
 pub struct Assessment {
-    /// Display name of the policy assessed (a [`Strategy::name`] for
-    /// the legacy strategies).
+    /// Display name of the policy assessed ([`CheckpointPolicy::name`],
+    /// or `"CkptNone"` for [`Pipeline::assess_none`]).
     pub policy: &'static str,
     /// Estimated expected makespan (seconds).
     pub expected_makespan: f64,
@@ -143,12 +90,12 @@ pub fn assessment(
     })
 }
 
-/// A scheduled workflow ready for strategy assessment.
+/// A scheduled workflow ready for placement assessment.
 ///
-/// Scheduling (the expensive, strategy-independent step) happens once in
-/// [`Pipeline::new`]; each [`Pipeline::assess`] call then derives
+/// Scheduling (the expensive, placement-independent step) happens once
+/// in [`Pipeline::new`]; each [`Pipeline::assess`] call then derives
 /// checkpoint decisions and evaluates the expected makespan — exactly how
-/// the paper compares the three strategies on a common schedule.
+/// the paper compares its strategies on a common schedule.
 pub struct Pipeline<'a> {
     /// The workflow under evaluation.
     pub workflow: &'a Workflow,
@@ -179,7 +126,7 @@ impl<'a> Pipeline<'a> {
 
     /// Builds a pipeline around a schedule computed elsewhere.
     ///
-    /// `Allocate` is the expensive strategy-independent step, and for the
+    /// `Allocate` is the expensive placement-independent step, and for the
     /// structure-driven linearizers (`Structural`, `RandomTopo`) it does
     /// not read file sizes at all — so a schedule computed once per
     /// workflow instance can be re-used across every CCR rescaling of that
@@ -239,27 +186,17 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// The checkpoint plan a strategy induces on this schedule.
-    ///
-    /// # Panics
-    /// Panics for [`Strategy::CkptNone`], which has no checkpoint plan —
-    /// use [`Pipeline::assess`].
-    pub fn plan(&self, strategy: Strategy) -> CheckpointPlan {
-        let policy = strategy.policy().expect("CkptNone has no checkpoint plan");
-        self.plan_policy(policy)
-    }
-
     /// The checkpoint plan a placement policy induces on this schedule
     /// (one [`PolicyScratch`] threaded across every superchain: the DP
     /// tables and sweep buffers are allocated once at the largest chain
     /// and reused).
-    pub fn plan_policy(&self, policy: &dyn CheckpointPolicy) -> CheckpointPlan {
-        self.plan_policy_reusing(policy, &mut PolicyScratch::new())
+    pub fn plan(&self, policy: &dyn CheckpointPolicy) -> CheckpointPlan {
+        self.plan_reusing(policy, &mut PolicyScratch::new())
     }
 
-    /// [`Pipeline::plan_policy`] with caller-owned scratch buffers
+    /// [`Pipeline::plan`] with caller-owned scratch buffers
     /// (steady-state loops over many plans amortize every allocation).
-    pub fn plan_policy_reusing(
+    pub fn plan_reusing(
         &self,
         policy: &dyn CheckpointPolicy,
         scratch: &mut PolicyScratch,
@@ -277,42 +214,31 @@ impl<'a> Pipeline<'a> {
         .expect("Pipeline inputs are valid by construction")
     }
 
-    /// The coalesced 2-state segment graph for a checkpointing strategy.
-    pub fn segment_graph(&self, strategy: Strategy) -> SegmentGraph {
-        let policy = strategy.policy().expect("CkptNone has no segment graph");
-        self.segment_graph_policy(policy)
-    }
-
     /// The coalesced 2-state segment graph for a placement policy.
-    pub fn segment_graph_policy(&self, policy: &dyn CheckpointPolicy) -> SegmentGraph {
-        let plan = self.plan_policy(policy);
+    pub fn segment_graph(&self, policy: &dyn CheckpointPolicy) -> SegmentGraph {
+        let plan = self.plan(policy);
         stage::segment_graph_stage(&self.ctx(), &self.schedule, &plan)
             .expect("Pipeline inputs are valid by construction")
     }
 
-    /// Assesses a strategy with the given 2-state DAG evaluator
-    /// (irrelevant for CkptNone, which uses the Theorem 1 closed form).
-    pub fn assess(&self, strategy: Strategy, evaluator: &dyn Evaluator) -> Assessment {
-        match strategy.policy() {
-            None => {
-                let w_par = self.schedule.failure_free_parallel_time(&self.workflow.dag);
-                Assessment {
-                    policy: strategy.name(),
-                    expected_makespan: theorem1_model(
-                        w_par,
-                        self.platform.n_procs,
-                        &self.platform.model,
-                    ),
-                    n_checkpoints: 0,
-                    n_segments: 0,
-                    ckpt_files: 0,
-                    ckpt_bytes: 0.0,
-                    w_par,
-                }
-            }
-            Some(policy) => {
-                self.assess_graph(policy.name(), &self.segment_graph_policy(policy), evaluator)
-            }
+    /// Assesses a placement policy with the given 2-state DAG evaluator.
+    pub fn assess(&self, policy: &dyn CheckpointPolicy, evaluator: &dyn Evaluator) -> Assessment {
+        self.assess_graph(policy.name(), &self.segment_graph(policy), evaluator)
+    }
+
+    /// Assesses CkptNone: no checkpoint at all, the expected makespan
+    /// by the Theorem 1 closed form over the schedule's failure-free
+    /// parallel time (no placement, no evaluator).
+    pub fn assess_none(&self) -> Assessment {
+        let w_par = self.schedule.failure_free_parallel_time(&self.workflow.dag);
+        Assessment {
+            policy: "CkptNone",
+            expected_makespan: theorem1_model(w_par, self.platform.n_procs, &self.platform.model),
+            n_checkpoints: 0,
+            n_segments: 0,
+            ckpt_files: 0,
+            ckpt_bytes: 0.0,
+            w_par,
         }
     }
 
@@ -337,6 +263,7 @@ mod tests {
     use super::*;
     use crate::allocate::allocate;
     use crate::pfail::lambda_from_pfail;
+    use crate::policy::{CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy};
     use pegasus::ccr::scale_to_ccr;
     use pegasus::{generate, WorkflowClass};
     use probdag::PathApprox;
@@ -394,9 +321,9 @@ mod tests {
         let model = FailureModel::weibull_from_pfail(0.7, 0.01, w.dag.mean_weight());
         let p = Platform::with_model(5, model, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
+        let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+        let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
+        let none = pipe.assess_none();
         assert!(some.expected_makespan > 0.0 && none.expected_makespan > 0.0);
         assert!(
             some.expected_makespan <= all.expected_makespan * 1.02,
@@ -418,8 +345,8 @@ mod tests {
             scale_to_ccr(&mut w, 0.01, bw);
             let p = platform(&w, 5, 0.001, bw);
             let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-            let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-            let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+            let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+            let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
             assert!(
                 some.expected_makespan <= all.expected_makespan * 1.02,
                 "{class}: some {} vs all {}",
@@ -442,7 +369,7 @@ mod tests {
         scale_to_ccr(&mut w, 1e-9, bw);
         let p = platform(&w, 5, 0.01, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let some = pipe.plan(Strategy::CkptSome);
+        let some = pipe.plan(&DpOptimalPolicy);
         assert_eq!(some.n_checkpoints(), w.n_tasks());
     }
 
@@ -455,8 +382,8 @@ mod tests {
         scale_to_ccr(&mut w, 10.0, bw);
         let p = platform(&w, 5, 0.0001, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let some = pipe.plan(Strategy::CkptSome);
-        let exits = pipe.plan(Strategy::ExitOnly);
+        let some = pipe.plan(&DpOptimalPolicy);
+        let exits = pipe.plan(&ExitOnlyPolicy);
         assert_eq!(some, exits);
     }
 
@@ -467,8 +394,8 @@ mod tests {
         scale_to_ccr(&mut w, 0.1, bw);
         let p = platform(&w, 5, 0.001, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let exit = pipe.assess(Strategy::ExitOnly, &PathApprox::default());
+        let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+        let exit = pipe.assess(&ExitOnlyPolicy, &PathApprox::default());
         assert!(some.expected_makespan <= exit.expected_makespan * 1.02);
     }
 
@@ -486,13 +413,16 @@ mod tests {
         let from_scratch = Pipeline::new(&scaled, p, &cfg);
         let cached = allocate(&base, p.n_procs, &cfg);
         let reused = Pipeline::with_schedule(&scaled, p, cached);
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
-            let a = from_scratch.assess(strategy, &PathApprox::default());
-            let b = reused.assess(strategy, &PathApprox::default());
+        let policies: [&dyn CheckpointPolicy; 3] =
+            [&CkptAllPolicy, &DpOptimalPolicy, &ExitOnlyPolicy];
+        for policy in policies {
+            let a = from_scratch.assess(policy, &PathApprox::default());
+            let b = reused.assess(policy, &PathApprox::default());
             assert_eq!(
                 a.expected_makespan.to_bits(),
                 b.expected_makespan.to_bits(),
-                "{strategy}"
+                "{}",
+                policy.name()
             );
             assert_eq!(a.n_checkpoints, b.n_checkpoints);
         }
@@ -512,10 +442,10 @@ mod tests {
         let w = generate(WorkflowClass::Montage, 50, 6);
         let p = platform(&w, 5, 0.001, 1e7);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+        let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
         assert_eq!(all.n_checkpoints, w.n_tasks());
         assert_eq!(all.n_segments, w.n_tasks());
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
+        let none = pipe.assess_none();
         assert_eq!(none.n_checkpoints, 0);
         assert!(none.w_par > 0.0);
     }
@@ -529,8 +459,8 @@ mod tests {
         scale_to_ccr(&mut w, 1.0, bw);
         let p = platform(&w, 5, 0.0001, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
-        let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+        let none = pipe.assess_none();
+        let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
         assert!(
             none.expected_makespan < all.expected_makespan,
             "none {} vs all {}",
@@ -548,8 +478,8 @@ mod tests {
         scale_to_ccr(&mut w, 1e-4, bw);
         let p = platform(&w, 18, 0.01, bw);
         let pipe = Pipeline::new(&w, p, &AllocateConfig::default());
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
+        let none = pipe.assess_none();
+        let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
         assert!(
             some.expected_makespan < none.expected_makespan,
             "some {} vs none {}",

@@ -15,9 +15,10 @@
 //!   checkpointing superchain exits to remove crossover dependencies;
 //! * [`coalesce`] — §II-C: coalescing checkpoint-delimited segments into a
 //!   2-state probabilistic DAG evaluable by the `probdag` estimators;
-//! * [`evaluate`] — the three strategies of §VI (**CkptAll**, **CkptNone**
-//!   via Theorem 1, **CkptSome**) plus the naive exit-only ablation, behind
-//!   a single [`evaluate::Pipeline`];
+//! * [`evaluate`] — the three strategies of §VI behind a single
+//!   [`evaluate::Pipeline`]: **CkptAll** and **CkptSome** (and the naive
+//!   exit-only ablation) are placement policies, **CkptNone** places
+//!   nothing and is assessed by Theorem 1;
 //! * [`pfail`] / [`platform`] — the `pfail ↔ λ` normalization and platform
 //!   model of §VI-A;
 //! * [`failure_model`] — the pluggable failure-distribution subsystem
@@ -25,10 +26,10 @@
 //!   stays closed-form for the exponential case, non-memoryless models
 //!   ride an exact renewal solve by deterministic quadrature;
 //! * [`policy`] — the pluggable checkpoint-placement subsystem: the
-//!   paper's placements as builtin [`policy::CheckpointPolicy`]s (the
-//!   [`Strategy`] enum is a thin constructor over them) plus classical
-//!   competitors — Young/Daly periodic, adaptive risk-threshold, and
-//!   the structural crossover heuristic;
+//!   paper's placements as builtin [`policy::CheckpointPolicy`]s
+//!   ([`CkptAllPolicy`], [`DpOptimalPolicy`], [`ExitOnlyPolicy`]) plus
+//!   classical competitors — Young/Daly periodic, adaptive
+//!   risk-threshold, and the structural crossover heuristic;
 //! * [`stage`] / [`fingerprint`] — the pipeline as an explicit **stage
 //!   graph**: each step a pure function from content-fingerprinted
 //!   inputs to one artifact, which is what lets the `ckpt_service`
@@ -39,18 +40,21 @@
 //!
 //! ```
 //! use ckpt_core::allocate::AllocateConfig;
-//! use ckpt_core::evaluate::{Pipeline, Strategy};
+//! use ckpt_core::evaluate::Pipeline;
 //! use ckpt_core::pfail::lambda_from_pfail;
 //! use ckpt_core::platform::Platform;
+//! use ckpt_core::policy::{CkptAllPolicy, DpOptimalPolicy};
 //! use probdag::PathApprox;
 //!
 //! let workflow = pegasus::generate(pegasus::WorkflowClass::Genome, 50, 42);
 //! let lambda = lambda_from_pfail(0.001, workflow.dag.mean_weight());
 //! let platform = Platform::new(5, lambda, 1e8);
 //! let pipe = Pipeline::new(&workflow, platform, &AllocateConfig::default());
-//! let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-//! let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+//! let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+//! let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
+//! let none = pipe.assess_none(); // Theorem 1, no placement
 //! assert!(some.expected_makespan <= all.expected_makespan * 1.02);
+//! assert_eq!(none.n_checkpoints, 0);
 //! ```
 
 pub mod allocate;
@@ -78,7 +82,7 @@ pub use coalesce::{
     coalesce, coalesce_topology, CheckpointPlan, PlacementStats, Segment, SegmentGraph,
 };
 pub use error::{ErrorKind, PlanError, PlanResult};
-pub use evaluate::{theorem1, theorem1_model, Assessment, Pipeline, Strategy};
+pub use evaluate::{theorem1, theorem1_model, Assessment, Pipeline};
 pub use failure_model::{FailureModel, RestartCurve};
 pub use fingerprint::{allocate_config_fp, model_fp, plan_fp, workflow_fp, WorkflowFp};
 pub use pfail::{lambda_from_pfail, pfail_from_lambda};

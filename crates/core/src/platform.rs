@@ -39,18 +39,6 @@ impl Platform {
         }
     }
 
-    /// The exponential failure rate of this platform.
-    ///
-    /// # Panics
-    /// Panics if the platform's failure model is not exponential; paths
-    /// that support arbitrary models should read [`Platform::model`]
-    /// instead.
-    pub fn lambda(&self) -> f64 {
-        self.model
-            .exponential_rate()
-            .expect("platform failure model is not exponential")
-    }
-
     /// Time to read or write `bytes` from/to stable storage.
     #[inline]
     pub fn io_time(&self, bytes: f64) -> f64 {
@@ -77,19 +65,6 @@ mod tests {
         let p = Platform::new(4, 1e-6, 1e8);
         assert_eq!(p.io_time(1e8), 1.0);
         assert_eq!(p.io_time(0.0), 0.0);
-    }
-
-    #[test]
-    fn lambda_accessor_roundtrips() {
-        let p = Platform::new(4, 2.5e-4, 1e8);
-        assert_eq!(p.lambda(), 2.5e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "not exponential")]
-    fn lambda_accessor_rejects_non_exponential() {
-        let p = Platform::with_model(4, FailureModel::weibull(2.0, 100.0), 1e8);
-        let _ = p.lambda();
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Pluggable checkpoint-placement policies.
 //!
-//! The paper compares exactly four placements (CkptAll / CkptNone /
-//! CkptSome / ExitOnly), which the stack used to hard-wire as a closed
-//! enum. [`CheckpointPolicy`] opens that axis: a policy maps one
-//! superchain (plus the cost context — workflow, failure model,
-//! bandwidth, renewal curve) to per-task checkpoint decisions, and the
-//! whole pipeline (`Pipeline::{plan,segment_graph,assess}`, `coalesce`,
-//! the simulators, the experiment harness) consumes the resulting
-//! [`CheckpointPlan`] without knowing which policy produced it.
+//! A placement is named by its policy object, and only by it.
+//! [`CheckpointPolicy`] maps one superchain (plus the cost context —
+//! workflow, failure model, bandwidth, renewal curve) to per-task
+//! checkpoint decisions, and the whole pipeline
+//! (`Pipeline::{plan,segment_graph,assess}`, `coalesce`, the
+//! simulators, the experiment harness) consumes the resulting
+//! [`CheckpointPlan`] without knowing which policy produced it. The
+//! paper's CkptNone places nothing, so it is not a policy: it is
+//! assessed by Theorem 1 (`Pipeline::assess_none`) and simulated by
+//! the crossover-cascade executor.
 //!
 //! Builtin policies:
 //!
-//! * [`CkptAllPolicy`] / [`ExitOnlyPolicy`] / [`DpOptimalPolicy`] — the
-//!   paper's placements, re-expressed as policies. `Strategy` routes
-//!   through these (see `Strategy::policy`), with unchanged float
-//!   arithmetic, so every legacy experiment output is byte-identical.
+//! * [`CkptAllPolicy`] / [`DpOptimalPolicy`] / [`ExitOnlyPolicy`] — the
+//!   paper's CkptAll and CkptSome and the §II-C exit-only ablation.
 //! * [`DalyPeriodic`] — classical Young/Daly periodic checkpointing
 //!   (arXiv:1802.07455's restart asymptotics): checkpoint every
 //!   `sqrt(2·C̄/λ)` seconds of accumulated work, generalized to

@@ -331,7 +331,7 @@ pub fn evaluate_stage(sg: &SegmentGraph, evaluator: &dyn Evaluator) -> PlanResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::{Pipeline, Strategy};
+    use crate::evaluate::Pipeline;
     use crate::pfail::lambda_from_pfail;
     use crate::policy::DpOptimalPolicy;
     use pegasus::{generate, WorkflowClass};
@@ -376,10 +376,10 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(plan, pipe.plan(Strategy::CkptSome));
+        assert_eq!(plan, pipe.plan(&DpOptimalPolicy));
         let sg = segment_graph_stage(&ctx, &schedule, &plan).unwrap();
         let em = evaluate_stage(&sg, &PathApprox::default()).unwrap();
-        let assessed = pipe.assess(Strategy::CkptSome, &PathApprox::default());
+        let assessed = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
         assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
         // The service's route: the model-free topology, re-modelled.
         let topo = segment_topology_stage(&w.dag, platform.bandwidth, &schedule, &plan).unwrap();

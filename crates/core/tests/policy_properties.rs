@@ -2,8 +2,8 @@
 //! optimality pin against every other builtin policy, the Daly
 //! collapse on uniform chains, placement validity (segment-graph
 //! invariants) for every builtin policy, and byte-identity of the
-//! legacy strategies' segment graphs to their pre-refactor
-//! construction on seeded Pegasus instances.
+//! paper's placements' segment graphs to their direct construction on
+//! seeded Pegasus instances.
 
 use ckpt_core::policy::{
     placement_expected_time, CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy,
@@ -11,7 +11,7 @@ use ckpt_core::policy::{
 };
 use ckpt_core::{
     allocate, coalesce, optimal_checkpoints, AllocateConfig, CheckpointPlan, CostCtx, FailureModel,
-    Pipeline, Platform, SegmentCostScratch, SegmentGraph, Strategy,
+    Pipeline, Platform, SegmentCostScratch, SegmentGraph,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use mspg::linearize::Linearizer;
@@ -181,7 +181,7 @@ proptest! {
         let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
         let pipe = Pipeline::new(&w, platform, &cfg);
         for policy in builtin_policies() {
-            let plan = pipe.plan_policy(policy.as_ref());
+            let plan = pipe.plan(policy.as_ref());
             prop_assert_eq!(plan.ckpt_after.len(), n);
             for sc in &pipe.schedule.superchains {
                 prop_assert!(
@@ -189,7 +189,7 @@ proptest! {
                     "{}: superchain exit not checkpointed", policy.name()
                 );
             }
-            let sg = pipe.segment_graph_policy(policy.as_ref());
+            let sg = pipe.segment_graph(policy.as_ref());
             prop_assert_eq!(sg.segments.len(), plan.n_checkpoints());
             // Acyclic (topo_order panics on cycles) and a full cover.
             let order = sg.pdag.topo_order();
@@ -209,8 +209,8 @@ proptest! {
     }
 }
 
-/// The legacy strategies routed through the policy trait reproduce the
-/// pre-refactor segment graphs bit-for-bit on seeded Pegasus instances:
+/// The paper's placements, as policies, reproduce their directly built
+/// segment graphs bit-for-bit on seeded Pegasus instances:
 /// CkptAll against the all-true plan, ExitOnly against the
 /// last-task-per-superchain plan, CkptSome against fresh per-superchain
 /// `optimal_checkpoints` calls.
@@ -244,29 +244,31 @@ fn legacy_strategies_are_bitwise_identical_to_pre_refactor_graphs() {
                     some.ckpt_after[t.index()] = choice.ckpt_after[k];
                 }
             }
-            for (strategy, reference) in [
-                (Strategy::CkptAll, &all),
-                (Strategy::ExitOnly, &exit),
-                (Strategy::CkptSome, &some),
-            ] {
+            let placements: [(&dyn CheckpointPolicy, _); 3] = [
+                (&CkptAllPolicy, &all),
+                (&ExitOnlyPolicy, &exit),
+                (&DpOptimalPolicy, &some),
+            ];
+            for (policy, reference) in placements {
+                let name = policy.name();
                 assert_eq!(
-                    &pipe.plan(strategy),
+                    &pipe.plan(policy),
                     reference,
-                    "{class} seed {seed}: {strategy} plan"
+                    "{class} seed {seed}: {name} plan"
                 );
-                let via_policy = pipe.segment_graph(strategy);
+                let via_policy = pipe.segment_graph(policy);
                 let pre_refactor = coalesce(&ctx, &pipe.schedule, reference);
                 assert_segment_graphs_bitwise_eq(
                     &via_policy,
                     &pre_refactor,
-                    &format!("{class} seed {seed}: {strategy}"),
+                    &format!("{class} seed {seed}: {name}"),
                 );
             }
         }
     }
 }
 
-/// `plan_with_policy` and `Pipeline::plan_policy_reusing` agree with
+/// `plan_with_policy` and `Pipeline::plan_reusing` agree with
 /// the one-shot path when a scratch is reused across many plans (the
 /// steady-state loop of the E10 scenario and the policy bench).
 #[test]
@@ -278,8 +280,8 @@ fn reused_policy_scratch_is_bitwise_identical_to_fresh() {
     let mut scratch = PolicyScratch::new();
     for _ in 0..2 {
         for policy in builtin_policies() {
-            let reused = pipe.plan_policy_reusing(policy.as_ref(), &mut scratch);
-            let fresh = pipe.plan_policy(policy.as_ref());
+            let reused = pipe.plan_reusing(policy.as_ref(), &mut scratch);
+            let fresh = pipe.plan(policy.as_ref());
             assert_eq!(reused, fresh, "{}", policy.name());
         }
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the scheduling and checkpointing algorithms.
 
 use ckpt_core::{
-    allocate, optimal_checkpoints, segment_cost, AllocateConfig, CostCtx, FailureModel, Pipeline,
-    Platform, RestartCurve, Strategy,
+    allocate, optimal_checkpoints, segment_cost, AllocateConfig, CostCtx, DpOptimalPolicy,
+    ExitOnlyPolicy, FailureModel, Pipeline, Platform, RestartCurve,
 };
 use mspg::gen::{random_workflow, GenConfig};
 use mspg::linearize::Linearizer;
@@ -126,8 +126,8 @@ proptest! {
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
         let platform = Platform::new(p, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { linearizer: Linearizer::RandomTopo, seed });
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let exit = pipe.assess(Strategy::ExitOnly, &PathApprox::default());
+        let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+        let exit = pipe.assess(&ExitOnlyPolicy, &PathApprox::default());
         prop_assert!(
             some.expected_makespan <= exit.expected_makespan * 1.03,
             "some {} vs exit {}", some.expected_makespan, exit.expected_makespan
@@ -248,8 +248,8 @@ proptest! {
         // Direct-quadrature reference: the same schedule, costs through
         // CostCtx::with_model (no curve).
         let direct_ctx = CostCtx::with_model(&w.dag, model, 1e7);
-        let plan = pipe.plan(Strategy::CkptSome);
-        let sg_curve = pipe.segment_graph(Strategy::CkptSome);
+        let plan = pipe.plan(&DpOptimalPolicy);
+        let sg_curve = pipe.segment_graph(&DpOptimalPolicy);
         let sg_direct = ckpt_core::coalesce(&direct_ctx, &pipe.schedule, &plan);
         prop_assert_eq!(sg_curve.segments.len(), sg_direct.segments.len());
         let ev = PathApprox::default();

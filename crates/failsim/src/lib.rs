@@ -37,7 +37,7 @@ pub use failure::{FailureSource, ModelFailures, ModelSampler, TraceFailures};
 pub use metrics::{ExecStats, McStats};
 pub use montecarlo::{
     montecarlo_none_model, montecarlo_segments_model, montecarlo_segments_model_abortable,
-    Estimator, NoneMcStats, SimConfig, SplitConfig,
+    NoneMcStats, SimConfig, SplitConfig,
 };
 pub use none_exec::{simulate_none, simulate_none_reference, Diverged};
 pub use segment_exec::simulate_segments_model;

@@ -6,7 +6,7 @@ use mspg::Dag;
 use crate::failure::ModelFailures;
 use crate::metrics::{ExecStats, McStats};
 use crate::none_exec::{NoneState, NoneStatic, RunOutcome};
-use crate::segment_exec::simulate_segments_model;
+use crate::segment_exec::simulate_segments_abortable;
 
 /// Monte Carlo configuration.
 #[derive(Clone, Copy, Debug)]
@@ -25,11 +25,11 @@ pub struct SimConfig {
     /// Failure budget per CkptNone run (see
     /// [`crate::none_exec::Diverged`]).
     pub max_failures: usize,
-    /// Which CkptNone estimator to run; both run the one splitting
-    /// code path, naive Monte Carlo with zero levels. Ignored by the
-    /// segment-graph engine (checkpointed runs have no rare-cascade
+    /// Splitting levels of the CkptNone estimator. The default has zero
+    /// levels: naive Monte Carlo, each root one plain run. Ignored by
+    /// the segment-graph engine (checkpointed runs have no rare-cascade
     /// regime worth splitting for).
-    pub estimator: Estimator,
+    pub split: SplitConfig,
     /// Cascade-tail threshold for [`NoneMcStats::p_tail`]: the CkptNone
     /// estimators also report `P(n_failures ≥ tail_at)`, the
     /// probability that a trajectory suffers a deep failure cascade.
@@ -47,34 +47,26 @@ impl Default for SimConfig {
             seed: 0xF00D,
             threads: 0,
             max_failures: 1_000_000,
-            estimator: Estimator::Naive,
+            split: SplitConfig::default(),
             tail_at: 0,
         }
     }
 }
 
-/// CkptNone estimator selector (see [`SimConfig::estimator`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Estimator {
-    /// Classic Monte Carlo: `runs` independent trajectories. This is
-    /// [`Estimator::Splitting`] with zero levels: no trajectory ever
-    /// pauses or clones, so each root is one plain run at weight 1.
-    Naive,
-    /// Multilevel splitting on the failure count, for rare-event
-    /// regimes (small `pfail`, wear-out models) where the makespan tail
-    /// is driven by cascades that almost no naive run samples. Each
-    /// root trajectory pauses just before its `stride`-th,
-    /// `2·stride`-th, … failure; at each level the trajectory is cloned
-    /// `factor` ways and every clone's weight is divided by `factor`,
-    /// so the weighted leaf aggregate per root is an unbiased — and
-    /// much smoother — estimate of the root's conditional expectation.
-    /// Clones share the pending (already-drawn) event heap, which is
-    /// part of the state being conditioned on; their *future* failure
-    /// draws come from fresh `seedmix`-derived streams.
-    Splitting(SplitConfig),
-}
-
-/// Multilevel-splitting parameters.
+/// Multilevel splitting on the failure count, the CkptNone estimator
+/// (see [`SimConfig::split`]), for rare-event regimes (small `pfail`,
+/// wear-out models) where the makespan tail is driven by cascades that
+/// almost no naive run samples. Each root trajectory pauses just before
+/// its `stride`-th, `2·stride`-th, … failure; at each level the
+/// trajectory is cloned `factor` ways and every clone's weight is
+/// divided by `factor`, so the weighted leaf aggregate per root is an
+/// unbiased — and much smoother — estimate of the root's conditional
+/// expectation. Clones share the pending (already-drawn) event heap,
+/// which is part of the state being conditioned on; their *future*
+/// failure draws come from fresh `seedmix`-derived streams.
+///
+/// With zero levels no trajectory ever pauses or clones, so each root
+/// is one plain run at weight 1: classic Monte Carlo, the default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitConfig {
     /// Clones per level (≥ 2); each passage divides the weight by this.
@@ -89,16 +81,13 @@ pub struct SplitConfig {
 }
 
 impl Default for SplitConfig {
+    /// Zero levels — naive Monte Carlo (`factor` and `stride` are never
+    /// read, but hold valid values).
     fn default() -> Self {
-        // Worst-case 2⁶ = 64 leaves per root: strong tail smoothing in
-        // rare-event regimes (where almost no root reaches level 1, so
-        // the *expected* tree is barely larger than a naive run) while
-        // staying bounded if pointed at a failure-dense regime by
-        // mistake.
         SplitConfig {
             factor: 2,
             stride: 1,
-            max_levels: 6,
+            max_levels: 0,
         }
     }
 }
@@ -110,7 +99,10 @@ fn run_seed(base: u64, i: usize) -> u64 {
 /// Monte Carlo over checkpointed (segment-graph) executions under an
 /// arbitrary [`FailureModel`]:
 /// [`montecarlo_segments_model_abortable`] with an abort that never
-/// fires.
+/// fires. So it does not return on a model under which some segment
+/// almost never survives an attempt (a scale far below the segment's
+/// span): its renewal loop retries about `1/S(span)` times. A caller
+/// that may meet such a model needs the abortable form and a deadline.
 pub fn montecarlo_segments_model(
     sg: &SegmentGraph,
     model: &FailureModel,
@@ -120,14 +112,15 @@ pub fn montecarlo_segments_model(
 }
 
 /// Monte Carlo over checkpointed executions with a cooperative abort
-/// predicate, polled once per replication (replications are the
-/// natural cadence: each costs far more than the poll). Returns `None`
-/// if `abort` reported true at any point — a partial aggregate would be
-/// silently biased toward the cheap runs, so an exceeded deadline
-/// yields *no* estimate, never a wrong one. Whether or not a caller can
-/// abort, the estimate is the same: run `i` owns its own `seedmix`
-/// stream and result slot (`seedmix::parallel_slots`), and the
-/// reduction folds in canonical run order.
+/// predicate, polled before each replication and after every failed
+/// segment attempt inside one (a replication whose segments keep
+/// failing never ends on its own). Returns `None` if `abort` reported
+/// true at any point — a partial aggregate would be silently biased
+/// toward the cheap runs, so an exceeded deadline yields *no*
+/// estimate, never a wrong one. Whether or not a caller can abort, the
+/// estimate is the same: the polls draw no randomness, run `i` owns its
+/// own `seedmix` stream and result slot (`seedmix::parallel_slots`),
+/// and the reduction folds in canonical run order.
 ///
 /// The abort signal is a plain predicate (not an unwind): replication
 /// workers run under `seedmix::parallel_slots`, and an unwinding abort
@@ -141,15 +134,21 @@ pub fn montecarlo_segments_model_abortable(
 ) -> Option<McStats> {
     use std::sync::atomic::{AtomicBool, Ordering};
     let aborted = AtomicBool::new(false);
-    let runs = seedmix::parallel_slots(cfg.runs, cfg.threads, |i| {
-        // Once any worker observes the abort, every remaining claimed
-        // run short-circuits to a placeholder; the whole vector is
-        // discarded below.
-        if aborted.load(Ordering::Relaxed) || abort() {
+    // Once any worker observes the abort, every remaining claimed run
+    // short-circuits to a placeholder; the whole vector is discarded
+    // below.
+    let stop = || {
+        let stop = aborted.load(Ordering::Relaxed) || abort();
+        if stop {
             aborted.store(true, Ordering::Relaxed);
+        }
+        stop
+    };
+    let runs = seedmix::parallel_slots(cfg.runs, cfg.threads, |i| {
+        if stop() {
             return ExecStats::default();
         }
-        simulate_segments_model(sg, model, run_seed(cfg.seed, i))
+        simulate_segments_abortable(sg, model, run_seed(cfg.seed, i), &stop).unwrap_or_default()
     });
     if aborted.load(Ordering::Relaxed) {
         None
@@ -214,34 +213,23 @@ fn mean_stderr(values: &[f64]) -> (f64, f64) {
     (mean, (var / n).sqrt())
 }
 
-/// The naive estimator as splitting: with zero levels no trajectory
-/// ever pauses, so each root is one plain run at weight 1 (`factor` and
-/// `stride` are never read).
-const NAIVE: SplitConfig = SplitConfig {
-    factor: 2,
-    stride: 1,
-    max_levels: 0,
-};
-
 /// Monte Carlo over CkptNone executions under an arbitrary
 /// [`FailureModel`]: root `i` owns a [`ModelFailures`] source whose
-/// per-processor substreams derive from the run's seed. Both
-/// estimators run the one splitting code path; [`Estimator::Naive`] is
-/// splitting with zero levels.
+/// per-processor substreams derive from the run's seed, and is split
+/// per [`SimConfig::split`] (zero levels, the default, is naive Monte
+/// Carlo).
+///
+/// # Panics
+/// Panics if the split factor is below 2 or the stride below 1.
 pub fn montecarlo_none_model(
     dag: &Dag,
     sched: &Schedule,
     model: &FailureModel,
     cfg: &SimConfig,
 ) -> NoneMcStats {
-    let sc = match cfg.estimator {
-        Estimator::Naive => NAIVE,
-        Estimator::Splitting(sc) => {
-            assert!(sc.factor >= 2, "split factor must be at least 2");
-            assert!(sc.stride >= 1, "split stride must be at least 1");
-            sc
-        }
-    };
+    let sc = cfg.split;
+    assert!(sc.factor >= 2, "split factor must be at least 2");
+    assert!(sc.stride >= 1, "split stride must be at least 1");
     // One static-table build per estimate, shared by every run (the
     // CSR maps are read-only; each run clones only the dynamic state).
     let st = NoneStatic::new(dag, sched, true);
@@ -426,7 +414,7 @@ fn aggregate_censored(roots: &[RootResult]) -> NoneMcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_core::{allocate, AllocateConfig, Pipeline, Platform, Strategy};
+    use ckpt_core::{allocate, AllocateConfig, CkptAllPolicy, DpOptimalPolicy, Pipeline, Platform};
     use pegasus::{generate, WorkflowClass};
 
     #[test]
@@ -435,7 +423,7 @@ mod tests {
         let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
         let platform = Platform::new(4, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let model = ckpt_core::FailureModel::exponential(lambda);
         for threads in [1usize, 2, 7] {
             let cfg = SimConfig {
@@ -460,6 +448,34 @@ mod tests {
     }
 
     #[test]
+    fn deadline_ends_a_replication_that_never_completes() {
+        // Weibull k = 2 at scale w̄·1e-3 never draws a time to failure
+        // past about 0.027·w̄ (inversion of u ≥ f64::MIN_POSITIVE), so a
+        // longer segment never completes an attempt: without the poll
+        // inside the renewal loop, the first replication never returns.
+        let w = generate(WorkflowClass::Genome, 50, 4);
+        let lambda = ckpt_core::lambda_from_pfail(1e-2, w.dag.mean_weight());
+        let platform = Platform::new(5, lambda, 1e7);
+        let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
+        let model = FailureModel::weibull(2.0, w.dag.mean_weight() * 1e-3);
+        let cfg = SimConfig {
+            runs: 4,
+            threads: 1,
+            ..Default::default()
+        };
+        let start = std::time::Instant::now();
+        let deadline = || start.elapsed() > std::time::Duration::from_millis(20);
+        let r = montecarlo_segments_model_abortable(&sg, &model, &cfg, &deadline);
+        assert!(r.is_none(), "a tripped deadline yields no estimate");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "returned {:?} after the deadline",
+            start.elapsed()
+        );
+    }
+
+    #[test]
     fn segment_mc_matches_pathapprox_at_small_pfail() {
         // E5 in miniature: the first-order 2-state model evaluated by
         // PathApprox must agree with the exact renewal simulation within a
@@ -468,7 +484,7 @@ mod tests {
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
         let platform = Platform::new(5, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let mc = montecarlo_segments_model(
             &sg,
             &pipe.platform.model,
@@ -478,7 +494,7 @@ mod tests {
             },
         );
         let pa = pipe
-            .assess(Strategy::CkptSome, &probdag::PathApprox::default())
+            .assess(&DpOptimalPolicy, &probdag::PathApprox::default())
             .expected_makespan;
         let tol = 5.0 * mc.stderr + 0.01 * pa;
         assert!(
@@ -534,11 +550,11 @@ mod tests {
                 runs: 300,
                 seed: 22,
                 max_failures: 20_000,
-                estimator: Estimator::Splitting(SplitConfig {
+                split: SplitConfig {
                     factor: 2,
                     stride: 1,
                     max_levels: 4,
-                }),
+                },
                 tail_at: 2,
                 ..Default::default()
             },
@@ -581,11 +597,11 @@ mod tests {
             seed: 33,
             threads,
             max_failures: 10_000,
-            estimator: Estimator::Splitting(SplitConfig {
+            split: SplitConfig {
                 factor: 2,
                 stride: 1,
                 max_levels: 3,
-            }),
+            },
             tail_at: 2,
         };
         let serial = montecarlo_none_model(&w.dag, &sched, &model, &cfg(1));
@@ -635,7 +651,7 @@ mod tests {
         let lambda = ckpt_core::lambda_from_pfail(0.001, w.dag.mean_weight());
         let platform = Platform::new(3, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let sg = pipe.segment_graph(&CkptAllPolicy);
         let cfg = SimConfig {
             runs: 500,
             seed: 11,
@@ -656,7 +672,7 @@ mod tests {
         let lambda = ckpt_core::lambda_from_pfail(0.01, w.dag.mean_weight());
         let platform = Platform::new(5, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let cfg = |threads| SimConfig {
             runs: 200,
             seed: 77,
@@ -733,21 +749,30 @@ mod tests {
             Platform::new(4, lambda, 1e7),
             &AllocateConfig::default(),
         );
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let model = &pipe.platform.model;
-        let empty = |estimator| SimConfig {
+        let empty = |split| SimConfig {
             runs: 0,
-            estimator,
+            split,
             ..Default::default()
         };
-        let seg = montecarlo_segments_model(&sg, model, &empty(Estimator::Naive));
+        let seg = montecarlo_segments_model(&sg, model, &empty(SplitConfig::default()));
         for r in [
-            montecarlo_none_model(&w.dag, &pipe.schedule, model, &empty(Estimator::Naive)),
             montecarlo_none_model(
                 &w.dag,
                 &pipe.schedule,
                 model,
-                &empty(Estimator::Splitting(SplitConfig::default())),
+                &empty(SplitConfig::default()),
+            ),
+            montecarlo_none_model(
+                &w.dag,
+                &pipe.schedule,
+                model,
+                &empty(SplitConfig {
+                    factor: 2,
+                    stride: 1,
+                    max_levels: 6,
+                }),
             ),
         ] {
             assert_eq!(r.diverged, 0);

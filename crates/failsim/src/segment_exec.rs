@@ -22,7 +22,24 @@ use crate::metrics::ExecStats;
 /// this is exactly the restart/renewal process whose expectation
 /// `CostCtx::expected_segment_time` solves by quadrature — the simulator
 /// is the ground truth for that numeric path.
+///
+/// A segment retries until an attempt survives, so under a model whose
+/// draws almost never reach some segment's span this does not return;
+/// [`crate::montecarlo_segments_model_abortable`] bounds such a run
+/// with its abort predicate.
 pub fn simulate_segments_model(sg: &SegmentGraph, model: &FailureModel, seed: u64) -> ExecStats {
+    simulate_segments_abortable(sg, model, seed, &|| false).expect("never aborted")
+}
+
+/// [`simulate_segments_model`] polling `abort` after every failed
+/// attempt: `None` once it reports true. The poll draws no randomness,
+/// so a run it never stops is bit-identical to the plain one.
+pub(crate) fn simulate_segments_abortable(
+    sg: &SegmentGraph,
+    model: &FailureModel,
+    seed: u64,
+    abort: &dyn Fn() -> bool,
+) -> Option<ExecStats> {
     let mut src = ModelSampler::new(*model, seed);
     let order = sg.pdag.topo_order();
     let mut finish = vec![0.0f64; sg.segments.len()];
@@ -35,36 +52,45 @@ pub fn simulate_segments_model(sg: &SegmentGraph, model: &FailureModel, seed: u6
             .map(|u| finish[u.index()])
             .fold(0.0f64, f64::max);
         let base = sg.segments[v.index()].cost.base();
-        let dur = sample_duration(base, &mut src, &mut stats);
+        let dur = sample_duration(base, &mut src, &mut stats, abort)?;
         finish[v.index()] = start + dur;
         stats.makespan = stats.makespan.max(finish[v.index()]);
     }
-    stats
+    Some(stats)
 }
 
 /// Renewal sampling of one segment's wall-clock duration: attempts of span
-/// `base` repeat until no failure strikes within the attempt.
-fn sample_duration(base: f64, src: &mut ModelSampler, stats: &mut ExecStats) -> f64 {
+/// `base` repeat until no failure strikes within the attempt, or until
+/// `abort`, polled after each failed one, reports true (`None`).
+fn sample_duration(
+    base: f64,
+    src: &mut ModelSampler,
+    stats: &mut ExecStats,
+    abort: &dyn Fn() -> bool,
+) -> Option<f64> {
     if base == 0.0 {
-        return 0.0;
+        return Some(0.0);
     }
     let mut elapsed = 0.0;
     loop {
         let strike = src.sample_ttf();
         if strike >= base {
-            return elapsed + base;
+            return Some(elapsed + base);
         }
         elapsed += strike;
         stats.n_failures += 1;
         stats.n_reexecs += 1;
         stats.wasted_time += strike;
+        if abort() {
+            return None;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_core::{AllocateConfig, Pipeline, Platform, Strategy};
+    use ckpt_core::{AllocateConfig, DpOptimalPolicy, Pipeline, Platform};
     use pegasus::{generate, WorkflowClass};
 
     fn segment_graph(pfail: f64, n_procs: usize) -> SegmentGraph {
@@ -72,7 +98,7 @@ mod tests {
         let lambda = ckpt_core::lambda_from_pfail(pfail, w.dag.mean_weight());
         let platform = Platform::new(n_procs, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        pipe.segment_graph(Strategy::CkptSome)
+        pipe.segment_graph(&DpOptimalPolicy)
     }
 
     #[test]

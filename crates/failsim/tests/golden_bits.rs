@@ -4,22 +4,22 @@
 //! budget: a changed bit is a changed E5/E9–E11 CSV.
 
 use ckpt_core::{allocate, lambda_from_pfail, AllocateConfig, FailureModel};
-use ckpt_core::{Pipeline, Platform, Strategy};
+use ckpt_core::{DpOptimalPolicy, Pipeline, Platform};
 use failsim::{
-    montecarlo_none_model, montecarlo_segments_model, simulate_segments_model, Estimator,
-    NoneMcStats, SimConfig, SplitConfig,
+    montecarlo_none_model, montecarlo_segments_model, simulate_segments_model, NoneMcStats,
+    SimConfig, SplitConfig,
 };
 use pegasus::{generate, WorkflowClass};
 
 const THREADS: [usize; 2] = [1, 3];
 
-fn cfg(threads: usize, estimator: Estimator) -> SimConfig {
+fn cfg(threads: usize, split: SplitConfig) -> SimConfig {
     SimConfig {
         runs: 400,
         seed: 21,
         threads,
         max_failures: 300,
-        estimator,
+        split,
         tail_at: 2,
     }
 }
@@ -46,13 +46,18 @@ fn ckpt_none_estimators_keep_their_bits() {
     let w = generate(WorkflowClass::Genome, 50, 4);
     let sched = allocate(&w, 5, &AllocateConfig::default());
     let model = FailureModel::weibull_from_pfail(2.0, 3e-3, w.dag.mean_weight());
-    let split = Estimator::Splitting(SplitConfig {
+    let split = SplitConfig {
         factor: 2,
         stride: 1,
         max_levels: 4,
-    });
+    };
     for threads in THREADS {
-        let naive = montecarlo_none_model(&w.dag, &sched, &model, &cfg(threads, Estimator::Naive));
+        let naive = montecarlo_none_model(
+            &w.dag,
+            &sched,
+            &model,
+            &cfg(threads, SplitConfig::default()),
+        );
         assert_eq!(
             none_bits(&naive),
             [
@@ -92,10 +97,10 @@ fn segment_mc_and_one_run_keep_their_bits() {
     let lambda = lambda_from_pfail(1e-2, w.dag.mean_weight());
     let platform = Platform::new(5, lambda, 1e7);
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = pipe.segment_graph(&DpOptimalPolicy);
     let model = FailureModel::exponential(lambda);
     for threads in THREADS {
-        let m = montecarlo_segments_model(&sg, &model, &cfg(threads, Estimator::Naive));
+        let m = montecarlo_segments_model(&sg, &model, &cfg(threads, SplitConfig::default()));
         assert_eq!(
             [
                 m.mean_makespan.to_bits(),

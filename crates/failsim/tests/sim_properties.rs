@@ -1,7 +1,10 @@
 //! Property-based tests for the discrete-event simulators.
 
 use ckpt_core::policy::{CheckpointPolicy, DalyPeriodic, GreedyCrossover, RiskThreshold};
-use ckpt_core::{allocate, AllocateConfig, CostCtx, FailureModel, Pipeline, Platform, Strategy};
+use ckpt_core::{
+    allocate, AllocateConfig, CkptAllPolicy, CostCtx, DpOptimalPolicy, FailureModel, Pipeline,
+    Platform,
+};
 use failsim::{
     montecarlo_segments_model, simulate_none, simulate_none_reference, simulate_segments_model,
     ModelFailures, SimConfig, TraceFailures,
@@ -30,7 +33,7 @@ proptest! {
         let w = wf(n, seed);
         let platform = Platform::new(p, 0.0, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let stats = simulate_segments_model(&sg, &platform.model, seed);
         prop_assert!((stats.makespan - sg.pdag.makespan_low()).abs() < 1e-6);
         prop_assert_eq!(stats.n_failures, 0);
@@ -49,7 +52,7 @@ proptest! {
         let lambda = 10f64.powi(-(lam_exp as i32 + 1));
         let platform = Platform::new(3, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let sg = pipe.segment_graph(&CkptAllPolicy);
         let floor = sg.pdag.makespan_low();
         let stats = simulate_segments_model(&sg, &platform.model, seed);
         prop_assert!(stats.makespan >= floor - 1e-9);
@@ -105,7 +108,7 @@ proptest! {
         };
         let platform = Platform::with_model(1, model, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let sg = pipe.segment_graph(&CkptAllPolicy);
         prop_assert_eq!(sg.segments.len(), 1);
         let base = sg.segments[0].cost.base();
         let expected = CostCtx::with_model(&w.dag, model, 1e7).expected_segment_time(base);
@@ -143,7 +146,7 @@ proptest! {
         let w = wf(n, seed);
         let platform = Platform::new(3, lambda, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptAll);
+        let sg = pipe.segment_graph(&CkptAllPolicy);
         let a = simulate_segments_model(&sg, &platform.model, seed);
         let b = simulate_segments_model(&sg, &weibull, seed);
         prop_assert_eq!(a, b);
@@ -237,7 +240,7 @@ proptest! {
             &GreedyCrossover,
         ];
         for policy in policies {
-            let sg = pipe.segment_graph_policy(policy);
+            let sg = pipe.segment_graph(policy);
             let analytic: f64 = probdag::Evaluator::expected_makespan(
                 &probdag::PathApprox::default(), &sg.pdag);
             let mc = montecarlo_segments_model(&sg, &model, &SimConfig {
@@ -270,7 +273,7 @@ proptest! {
         };
         let platform = Platform::with_model(p, model, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         // A small failure budget keeps diverging cascades cheap while
         // still exercising the censoring path across budgets.
         let cfg = |threads| SimConfig {
@@ -303,7 +306,7 @@ proptest! {
         let w = wf(40, seed);
         let platform = Platform::new(3, 1e-5, 1e7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig { seed, ..Default::default() });
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let runs = 300;
         let mean = |lambda: f64| -> f64 {
             let model = FailureModel::exponential(lambda);

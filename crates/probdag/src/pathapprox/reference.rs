@@ -243,7 +243,10 @@ mod tests {
 
     #[test]
     fn lazy_matches_eager_on_segment_graphs() {
-        use ckpt_core::{lambda_from_pfail, AllocateConfig, Pipeline, Platform, Strategy};
+        use ckpt_core::{
+            lambda_from_pfail, AllocateConfig, CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy,
+            Pipeline, Platform,
+        };
         use pegasus::WorkflowClass;
 
         let classes = [
@@ -259,8 +262,9 @@ mod tests {
                     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
                     let platform = Platform::new(18, lambda, 1e8);
                     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-                    for strategy in [Strategy::CkptSome, Strategy::CkptAll] {
-                        let sg = pipe.segment_graph(strategy);
+                    let policies: [&dyn CheckpointPolicy; 2] = [&DpOptimalPolicy, &CkptAllPolicy];
+                    for policy in policies {
+                        let sg = pipe.segment_graph(policy);
                         // The graph's type comes from the probdag build
                         // that ckpt_core links; rebuild it in this one
                         // with the same distributions and pred lists.
@@ -283,7 +287,7 @@ mod tests {
                                 g.add_edge(NodeId(u.0), NodeId(v.0));
                             }
                         }
-                        let what = format!("{class:?}-{size} {strategy:?} pfail {pfail}");
+                        let what = format!("{class:?}-{size} {} pfail {pfail}", policy.name());
                         for k in [1, 64, 256] {
                             assert_matches(&g, k, &what);
                         }

@@ -2,7 +2,7 @@
 //! caching decides *who* computes an artifact, never *what* it is —
 //! and batches must be invariant to the worker thread budget.
 
-use ckpt_core::{Pipeline, Platform, Strategy};
+use ckpt_core::{Pipeline, Platform};
 use ckpt_service::{
     Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
 };
@@ -154,11 +154,8 @@ fn baseline_answers_equal_the_one_shot_pipeline() {
     let model = inputs.model.build(w.dag.mean_weight());
     let platform = Platform::with_model(inputs.procs, model, inputs.bandwidth);
     let pipe = Pipeline::new(&w, platform, &inputs.alloc);
-    for (policy, strategy) in [
-        (PolicySpec::DpOptimal, Strategy::CkptSome),
-        (PolicySpec::CkptAll, Strategy::CkptAll),
-    ] {
-        let a = pipe.assess(strategy, &PathApprox::default());
+    for policy in [PolicySpec::DpOptimal, PolicySpec::CkptAll] {
+        let a = pipe.assess(policy.build().as_ref(), &PathApprox::default());
         let expected = Answer {
             policy: a.policy,
             expected_makespan: a.expected_makespan,

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ckpt_core::{CheckpointPlan, Pipeline, Platform, StageId, Strategy};
+use ckpt_core::{CheckpointPlan, DpOptimalPolicy, Pipeline, Platform, StageId};
 use ckpt_service::{
     Answer, Inputs, McSpec, ModelSpec, PolicySpec, Session, Store, WhatIf, WorkflowSource,
 };
@@ -92,7 +92,7 @@ fn a_lambda_walk_reuses_topologies_soundly() {
         let plan_of = |pfail: f64| {
             let model = ModelSpec::Exponential { pfail }.build(mean);
             let platform = Platform::with_model(PROCS, model, BANDWIDTH);
-            Pipeline::with_schedule(&w, platform, schedule.clone()).plan(Strategy::CkptSome)
+            Pipeline::with_schedule(&w, platform, schedule.clone()).plan(&DpOptimalPolicy)
         };
 
         let mut plans: HashMap<u64, CheckpointPlan> = HashMap::new();

@@ -36,16 +36,17 @@ fn main() {
             seed: 5,
             ..Default::default()
         };
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome] {
+        let policies: [&dyn CheckpointPolicy; 2] = [&CkptAllPolicy, &DpOptimalPolicy];
+        for policy in policies {
             let model = pipe
-                .assess(strategy, &PathApprox::default())
+                .assess(policy, &PathApprox::default())
                 .expected_makespan;
-            let sg = pipe.segment_graph(strategy);
+            let sg = pipe.segment_graph(policy);
             let sim = montecarlo_segments_model(&sg, &pipe.platform.model, &cfg);
             println!(
                 "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s",
                 pfail,
-                strategy.name(),
+                policy.name(),
                 model,
                 sim.mean_makespan,
                 100.0 * (model - sim.mean_makespan).abs() / sim.mean_makespan,
@@ -53,14 +54,13 @@ fn main() {
                 sim.mean_wasted
             );
         }
-        let model = pipe
-            .assess(Strategy::CkptNone, &PathApprox::default())
-            .expected_makespan;
+        let none = pipe.assess_none();
+        let model = none.expected_makespan;
         let sim = montecarlo_none_model(&w.dag, &pipe.schedule, &pipe.platform.model, &cfg);
         println!(
             "{:>8} {:10} {:>11.0}s {:>11.0}s {:>8.2} {:>12.2} {:>9.0}s  ({} diverged)",
             pfail,
-            "CkptNone",
+            none.policy,
             model,
             sim.stats.mean_makespan,
             100.0 * (model - sim.stats.mean_makespan).abs() / sim.stats.mean_makespan,
@@ -111,8 +111,8 @@ fn main() {
     for (label, model) in models {
         let platform = Platform::with_model(18, model, bw);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let sim = montecarlo_segments_model(&sg, &model, &cfg);
         println!(
             "{:>24} {:>11.0}s {:>11.0}s {:>8.2} {:>6}",

@@ -30,13 +30,13 @@ fn main() {
         let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
         let platform = Platform::new(18, lambda, bw);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let some = pipe.assess(Strategy::CkptSome, &evaluator);
-        let all = pipe.assess(Strategy::CkptAll, &evaluator);
-        let none = pipe.assess(Strategy::CkptNone, &evaluator);
+        let some = pipe.assess(&DpOptimalPolicy, &evaluator);
+        let all = pipe.assess(&CkptAllPolicy, &evaluator);
+        let none = pipe.assess_none();
         let best = [
-            ("CkptSome", some.expected_makespan),
-            ("CkptAll", all.expected_makespan),
-            ("CkptNone", none.expected_makespan),
+            (some.policy, some.expected_makespan),
+            (all.policy, all.expected_makespan),
+            (none.policy, none.expected_makespan),
         ]
         .into_iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))

@@ -66,7 +66,7 @@ fn main() {
     }
 
     // ----- Checkpoint placement (Algorithm 2) --------------------------
-    let plan = pipe.plan(Strategy::CkptSome);
+    let plan = pipe.plan(&DpOptimalPolicy);
     let ckpts: Vec<&str> = workflow
         .dag
         .task_ids()
@@ -81,8 +81,11 @@ fn main() {
         "\n{:10} {:>18} {:>13} {:>10}",
         "strategy", "expected makespan", "checkpoints", "segments"
     );
-    for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone] {
-        let a = pipe.assess(strategy, &evaluator);
+    for a in [
+        pipe.assess(&CkptAllPolicy, &evaluator),
+        pipe.assess(&DpOptimalPolicy, &evaluator),
+        pipe.assess_none(),
+    ] {
         println!(
             "{:10} {:>17.1}s {:>13} {:>10}",
             a.policy, a.expected_makespan, a.n_checkpoints, a.n_segments

@@ -41,29 +41,32 @@ fn main() {
         "workflow={class} tasks={} procs={procs} pfail={pfail} ccr={ccr}\n",
         w.n_tasks()
     );
-    let mut results: Vec<(Strategy, f64, usize)> = Vec::new();
-    for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::CkptNone] {
-        let a = pipe.assess(strategy, &evaluator);
-        results.push((strategy, a.expected_makespan, a.n_checkpoints));
-    }
+    let results = [
+        pipe.assess(&CkptAllPolicy, &evaluator),
+        pipe.assess(&DpOptimalPolicy, &evaluator),
+        pipe.assess_none(),
+    ];
+    let [_, some, none] = &results;
     println!(
         "{:10} {:>18} {:>13}",
         "strategy", "expected makespan", "checkpoints"
     );
-    for (s, em, ck) in &results {
-        println!("{:10} {:>17.0}s {:>13}", s.name(), em, ck);
+    for a in &results {
+        println!(
+            "{:10} {:>17.0}s {:>13}",
+            a.policy, a.expected_makespan, a.n_checkpoints
+        );
     }
-    let (best, em, _) = results.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
-    let (_, some_em, _) = results
+    let best = results
         .iter()
-        .find(|(s, ..)| *s == Strategy::CkptSome)
+        .min_by(|a, b| a.expected_makespan.total_cmp(&b.expected_makespan))
         .unwrap();
+    let (em, some_em) = (best.expected_makespan, some.expected_makespan);
     println!(
         "\nRecommendation: {} (expected makespan {:.0}s)",
-        best.name(),
-        em
+        best.policy, em
     );
-    if *best == Strategy::CkptNone {
+    if best.policy == none.policy {
         println!(
             "Note: CkptNone wins here because checkpoints are expensive and/or\n\
              failures rare — the bet is that re-running from scratch on the rare\n\

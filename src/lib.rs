@@ -30,12 +30,12 @@
 //! let platform = Platform::new(5, lambda, 1e8);
 //! let pipe = Pipeline::new(&workflow, platform, &AllocateConfig::default());
 //!
-//! let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-//! let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
-//! let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
+//! let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+//! let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
+//! let none = pipe.assess_none(); // CkptNone: Theorem 1, no placement
 //! assert!(some.expected_makespan <= all.expected_makespan * 1.02);
 //! assert!(some.n_checkpoints <= all.n_checkpoints);
-//! let _ = none.expected_makespan; // Theorem 1 estimate
+//! assert_eq!(none.policy, "CkptNone");
 //! ```
 
 pub use ckpt_core;
@@ -49,9 +49,9 @@ pub use seedmix;
 pub mod prelude {
     pub use ckpt_core::{
         allocate, lambda_from_pfail, optimal_checkpoints, theorem1, theorem1_model, AllocateConfig,
-        Assessment, CheckpointPlan, CheckpointPolicy, CostCtx, DalyPeriodic, FailureModel,
-        GreedyCrossover, Pipeline, Platform, RiskThreshold, Schedule, SegmentGraph, Strategy,
-        Superchain,
+        Assessment, CheckpointPlan, CheckpointPolicy, CkptAllPolicy, CostCtx, DalyPeriodic,
+        DpOptimalPolicy, ExitOnlyPolicy, FailureModel, GreedyCrossover, Pipeline, Platform,
+        RiskThreshold, Schedule, SegmentGraph, Superchain,
     };
     pub use failsim::{simulate_none, simulate_segments_model, ModelFailures, SimConfig};
     pub use mspg::{Dag, Mspg, TaskId, Workflow};

@@ -56,13 +56,13 @@ fn pipeline_assessments_are_bitwise_deterministic() {
             ..Default::default()
         };
         let pipe = Pipeline::new(&w, platform, &cfg);
+        let evaluator = PathApprox::default();
         [
-            Strategy::CkptAll,
-            Strategy::CkptSome,
-            Strategy::CkptNone,
-            Strategy::ExitOnly,
+            pipe.assess(&CkptAllPolicy, &evaluator),
+            pipe.assess(&DpOptimalPolicy, &evaluator),
+            pipe.assess_none(),
+            pipe.assess(&ExitOnlyPolicy, &evaluator),
         ]
-        .map(|s| pipe.assess(s, &PathApprox::default()))
     };
     let a = run(7);
     let b = run(7);
@@ -82,7 +82,7 @@ fn pipeline_assessments_are_bitwise_deterministic() {
 fn montecarlo_evaluator_is_bitwise_deterministic() {
     let (w, platform) = build(WorkflowClass::Montage, 3);
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = pipe.segment_graph(&DpOptimalPolicy);
     // Each trial owns its own seed stream and the reduction runs in
     // canonical trial order, so the estimate is a pure function of
     // (seed, trials) — the thread budget must not matter.
@@ -107,7 +107,7 @@ fn montecarlo_evaluator_is_bitwise_deterministic() {
 fn simulators_are_bitwise_deterministic() {
     let (w, platform) = build(WorkflowClass::Ligo, 11);
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptAll);
+    let sg = pipe.segment_graph(&CkptAllPolicy);
 
     let a = simulate_segments_model(&sg, &platform.model, 21);
     let b = simulate_segments_model(&sg, &platform.model, 21);
@@ -147,9 +147,9 @@ fn non_memoryless_pipeline_is_bitwise_deterministic() {
     let run = || {
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
         let em = pipe
-            .assess(Strategy::CkptSome, &PathApprox::default())
+            .assess(&DpOptimalPolicy, &PathApprox::default())
             .expected_makespan;
-        let sg = pipe.segment_graph(Strategy::CkptSome);
+        let sg = pipe.segment_graph(&DpOptimalPolicy);
         let sim = failsim::simulate_segments_model(&sg, &model, 31);
         let mut src = failsim::ModelFailures::new(model, 7);
         let none = simulate_none(&w.dag, &pipe.schedule, &mut src, 100_000).unwrap();

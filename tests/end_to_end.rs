@@ -27,12 +27,18 @@ fn full_pipeline_runs_on_all_classes() {
         let (w, platform) = pipeline(class, 50, 5, 0.001, 0.01, 7);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
         pipe.schedule.validate(&w.dag).unwrap();
-        for strategy in [Strategy::CkptAll, Strategy::CkptSome, Strategy::ExitOnly] {
-            let a = pipe.assess(strategy, &PathApprox::default());
+        let policies: [&dyn CheckpointPolicy; 3] =
+            [&CkptAllPolicy, &DpOptimalPolicy, &ExitOnlyPolicy];
+        for policy in policies {
+            let a = pipe.assess(policy, &PathApprox::default());
             assert!(a.expected_makespan.is_finite() && a.expected_makespan > 0.0);
-            assert!(a.expected_makespan >= a.w_par * 0.99, "{class} {strategy}");
+            assert!(
+                a.expected_makespan >= a.w_par * 0.99,
+                "{class} {}",
+                a.policy
+            );
         }
-        let none = pipe.assess(Strategy::CkptNone, &PathApprox::default());
+        let none = pipe.assess_none();
         assert!(none.expected_makespan >= none.w_par);
     }
 }
@@ -43,9 +49,9 @@ fn checkpoint_counts_are_ordered() {
     for class in WorkflowClass::ALL {
         let (w, platform) = pipeline(class, 300, 18, 0.001, 0.05, 3);
         let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-        let all = pipe.plan(Strategy::CkptAll).n_checkpoints();
-        let some = pipe.plan(Strategy::CkptSome).n_checkpoints();
-        let exit = pipe.plan(Strategy::ExitOnly).n_checkpoints();
+        let all = pipe.plan(&CkptAllPolicy).n_checkpoints();
+        let some = pipe.plan(&DpOptimalPolicy).n_checkpoints();
+        let exit = pipe.plan(&ExitOnlyPolicy).n_checkpoints();
         assert_eq!(all, w.n_tasks());
         assert!(some <= all);
         assert!(exit <= some, "{class}: exit {exit} vs some {some}");
@@ -61,7 +67,7 @@ fn evaluators_agree_on_coalesced_graphs() {
     // PathApprox).
     let (w, platform) = pipeline(WorkflowClass::Ligo, 300, 18, 0.001, 0.01, 5);
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = pipe.segment_graph(&DpOptimalPolicy);
     // Pinned thread count so `truth` is identical on every machine (the
     // per-worker RNG streams depend on the partition).
     let truth = MonteCarlo {
@@ -99,9 +105,9 @@ fn simulation_validates_first_order_model() {
     let (w, platform) = pipeline(WorkflowClass::Montage, 300, 18, 0.001, 0.03, 9);
     let pipe = Pipeline::new(&w, platform, &AllocateConfig::default());
     let model = pipe
-        .assess(Strategy::CkptSome, &PathApprox::default())
+        .assess(&DpOptimalPolicy, &PathApprox::default())
         .expected_makespan;
-    let sg = pipe.segment_graph(Strategy::CkptSome);
+    let sg = pipe.segment_graph(&DpOptimalPolicy);
     let sim = montecarlo_segments_model(
         &sg,
         &platform.model,
@@ -126,8 +132,8 @@ fn serialization_roundtrip_preserves_pipeline_results() {
     let text = pegasus::textio::to_text(&w);
     let back = pegasus::textio::from_text(&text).unwrap();
     let cfg = AllocateConfig::default();
-    let a = Pipeline::new(&w, platform, &cfg).assess(Strategy::CkptSome, &PathApprox::default());
-    let b = Pipeline::new(&back, platform, &cfg).assess(Strategy::CkptSome, &PathApprox::default());
+    let a = Pipeline::new(&w, platform, &cfg).assess(&DpOptimalPolicy, &PathApprox::default());
+    let b = Pipeline::new(&back, platform, &cfg).assess(&DpOptimalPolicy, &PathApprox::default());
     assert_eq!(a.expected_makespan, b.expected_makespan);
     assert_eq!(a.n_checkpoints, b.n_checkpoints);
 }
@@ -175,13 +181,13 @@ fn gspg_runs_through_the_full_pipeline() {
         Platform::new(5, lambda, 1e7),
         &AllocateConfig::default(),
     );
-    let some = pipe.assess(Strategy::CkptSome, &PathApprox::default());
-    let all = pipe.assess(Strategy::CkptAll, &PathApprox::default());
+    let some = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+    let all = pipe.assess(&CkptAllPolicy, &PathApprox::default());
     assert!(some.expected_makespan > 0.0 && some.expected_makespan.is_finite());
     assert!(some.expected_makespan <= all.expected_makespan * 1.03);
     // The shortcut file must be priced: dropping its size must shrink the
     // CkptAll makespan read component.
-    let sg = pipe.segment_graph(Strategy::CkptAll);
+    let sg = pipe.segment_graph(&CkptAllPolicy);
     let f = workflow.dag.primary_output(splits[0]).unwrap();
     let seg_of_pileup = sg.task_segment[pileup.index()] as usize;
     let read = sg.segments[seg_of_pileup].cost.r;
