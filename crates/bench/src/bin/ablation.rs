@@ -14,62 +14,36 @@
 //!     [--seed 42] [--threads 0] [--plan-threads 1] [--out results]
 //! ```
 
-use ckpt_bench::engine::{self, CsvFileSink, EngineConfig, Scenario};
 use ckpt_bench::scenarios::{LigoFootnoteScenario, LinearizationScenario, NaiveCoalesceScenario};
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::GridShell;
 
 fn main() {
-    let args = Args::parse();
-    let obs_out = ObsOut::from_args(&args);
-    let seed: u64 = args.get_or("seed", 42);
-    let threads: usize = args.get_or("threads", 0);
-    let out_dir: String = args.get_or("out", "results".to_owned());
-    let study: String = args.get_or("study", "all".to_owned());
-    let mut cfg = EngineConfig::with_threads(threads);
-    cfg.plan_threads = args.get_or("plan-threads", 1);
-    match study.as_str() {
-        "linearization" => linearization(seed, &out_dir, &cfg),
-        "naive-coalesce" => naive_coalesce(seed, &out_dir, &cfg),
-        "ligo-footnote" => ligo_footnote(seed, &out_dir, &cfg),
-        "all" => {
-            linearization(seed, &out_dir, &cfg);
-            naive_coalesce(seed, &out_dir, &cfg);
-            ligo_footnote(seed, &out_dir, &cfg);
-        }
-        other => panic!("unknown study `{other}`"),
-    }
-    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
-    obs_out.finish().expect("write observability outputs");
-}
-
-fn run_study<S: Scenario>(
-    scenario: &S,
-    cfg: &EngineConfig,
-    out_dir: &str,
-    file: &str,
-) -> Vec<S::Row> {
-    let path = std::path::Path::new(out_dir).join(file);
-    let mut sink = CsvFileSink::new(&path);
-    let report = engine::run(scenario, cfg, &mut sink).expect("write CSV");
-    eprintln!(
-        "wrote {} rows to {} in {:.1}s ({} workers)",
-        sink.rows_written(),
-        path.display(),
-        report.wall,
-        report.workers
+    let shell = GridShell::parse("study plan-threads");
+    let study = shell.args.choice(
+        "study",
+        &["all", "linearization", "naive-coalesce", "ligo-footnote"],
     );
-    report.rows
+    if matches!(study, "all" | "linearization") {
+        linearization(&shell);
+    }
+    if matches!(study, "all" | "naive-coalesce") {
+        naive_coalesce(&shell);
+    }
+    if matches!(study, "all" | "ligo-footnote") {
+        ligo_footnote(&shell);
+    }
+    shell.finish();
 }
 
 /// E6: linearizer comparison inside CkptSome.
-fn linearization(seed: u64, out_dir: &str, cfg: &EngineConfig) {
+fn linearization(shell: &GridShell) {
     println!("# E6 linearization ablation (CkptSome expected makespan)");
     let scenario = LinearizationScenario {
         ccr_points: 5,
-        base_seed: seed,
+        base_seed: shell.seed,
     };
-    let rows = run_study(&scenario, cfg, out_dir, "ablation_linearization.csv");
+    let rows = shell.run(&scenario, "ablation_linearization.csv").rows;
     let mut summary = EndpointSummary::new(
         "class pfail",
         "CCR",
@@ -86,13 +60,13 @@ fn linearization(seed: u64, out_dir: &str, cfg: &EngineConfig) {
 }
 
 /// E7: exit-only checkpoints (naive coalescing) vs the DP.
-fn naive_coalesce(seed: u64, out_dir: &str, cfg: &EngineConfig) {
+fn naive_coalesce(shell: &GridShell) {
     println!("# E7 naive-coalescing ablation (ExitOnly vs CkptSome)");
     let scenario = NaiveCoalesceScenario {
         ccr_points: 4,
-        base_seed: seed,
+        base_seed: shell.seed,
     };
-    let rows = run_study(&scenario, cfg, out_dir, "ablation_naive_coalesce.csv");
+    let rows = shell.run(&scenario, "ablation_naive_coalesce.csv").rows;
     let mut summary = EndpointSummary::new("class size pfail", "CCR", &["exit/some"]);
     for r in &rows {
         summary.observe(
@@ -106,10 +80,10 @@ fn naive_coalesce(seed: u64, out_dir: &str, cfg: &EngineConfig) {
 
 /// E8: the Ligo incomplete-bipartite artifact (see
 /// [`LigoFootnoteScenario`]).
-fn ligo_footnote(seed: u64, out_dir: &str, cfg: &EngineConfig) {
+fn ligo_footnote(shell: &GridShell) {
     println!("# E8 Ligo incomplete-bipartite footnote");
-    let scenario = LigoFootnoteScenario::new(7, seed);
-    let rows = run_study(&scenario, cfg, out_dir, "ablation_ligo_footnote.csv");
+    let scenario = LigoFootnoteScenario::new(7, shell.seed);
+    let rows = shell.run(&scenario, "ablation_ligo_footnote.csv").rows;
     let mut summary = EndpointSummary::new("pfail", "CCR", &["relall_main", "relall_patched"]);
     for r in &rows {
         summary.observe(

@@ -14,35 +14,21 @@
 //!     [--out results]
 //! ```
 
-use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::AccuracyScenario;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::GridShell;
 
 fn main() {
-    let args = Args::parse();
-    let obs_out = ObsOut::from_args(&args);
-    let trials: usize = args.get_or("trials", 300_000);
-    let seed: u64 = args.get_or("seed", 42);
-    let threads: usize = args.get_or("threads", 0);
-    let mc_threads: usize = args.get_or("mc-threads", 0);
-    let plan_threads: usize = args.get_or("plan-threads", 1);
-    let out_dir: String = args.get_or("out", "results".to_owned());
+    let shell = GridShell::parse("trials mc-threads plan-threads");
+    let trials: usize = shell.args.get_or("trials", 300_000);
     let pfail = 0.01;
     let scenario = AccuracyScenario {
         trials,
         sizes: vec![50, 300, 1000],
         pfail,
-        base_seed: seed,
+        base_seed: shell.seed,
     };
     println!("# E4 accuracy (MC trials = {trials}, pfail = {pfail})");
-    let path = std::path::Path::new(&out_dir).join("table_accuracy.csv");
-    let mut sink = CsvFileSink::new(&path);
-    let cfg = EngineConfig {
-        threads,
-        mc_threads,
-        plan_threads,
-    };
-    let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
+    let report = shell.run(&scenario, "table_accuracy.csv");
     println!(
         "{:8} {:5} {:9} {:6} {:>11} {:>12} {:>12} {:>10}",
         "class", "size", "strategy", "nodes", "evaluator", "estimate", "err(%)", "time(s)"
@@ -60,14 +46,5 @@ fn main() {
             r.runtime_s
         );
     }
-    eprintln!(
-        "wrote {} ({} cells in {:.1}s, {} workers × {} MC threads)",
-        path.display(),
-        report.cells,
-        report.wall,
-        report.workers,
-        report.mc_threads
-    );
-    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
-    obs_out.finish().expect("write observability outputs");
+    shell.finish();
 }

@@ -14,44 +14,21 @@
 //!     [--mc-threads 0] [--plan-threads 1] [--out results]
 //! ```
 
-use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::DistributionsScenario;
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::GridShell;
 
 fn main() {
-    let args = Args::parse();
-    let obs_out = ObsOut::from_args(&args);
-    let runs: usize = args.get_or("runs", 400);
-    let seed: u64 = args.get_or("seed", 42);
-    let threads: usize = args.get_or("threads", 0);
-    let mc_threads: usize = args.get_or("mc-threads", 0);
-    let plan_threads: usize = args.get_or("plan-threads", 1);
-    let out_dir: String = args.get_or("out", "results".to_owned());
-    let sizes: Vec<usize> = args.list_or("sizes", vec![50]);
-    let cfg = EngineConfig {
-        threads,
-        mc_threads,
-        plan_threads,
-    };
+    let shell = GridShell::parse("runs sizes mc-threads plan-threads");
+    let runs: usize = shell.args.get_or("runs", 400);
+    let sizes: Vec<usize> = shell.args.list_or("sizes", vec![50]);
     println!("# E9 failure-distribution study ({runs} simulated runs per cell and strategy)");
-    let scenario = DistributionsScenario::standard(runs, sizes, seed);
-    let path = std::path::Path::new(&out_dir).join("distributions.csv");
-    let mut sink = CsvFileSink::new(&path);
-    let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
-    eprintln!(
-        "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads)",
-        sink.rows_written(),
-        path.display(),
-        report.wall,
-        report.workers,
-        report.mc_threads,
-    );
-    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
+    let scenario = DistributionsScenario::standard(runs, sizes, shell.seed);
+    let report = shell.run(&scenario, "distributions.csv");
     // Per-model-block CPU attribution (sums of per-cell run_cell wall
     // clocks; diagnostic only, never part of the CSV). This is the
     // number BENCH_hotpath.json tracks for the non-exponential blocks.
-    for (label, range) in scenario.model_blocks() {
+    for (label, range) in scenario.blocks() {
         let block_wall: f64 = report.cell_walls[range].iter().sum();
         eprintln!("block {label:18} {block_wall:7.2}s");
     }
@@ -66,5 +43,5 @@ fn main() {
         );
     }
     summary.print();
-    obs_out.finish().expect("write observability outputs");
+    shell.finish();
 }

@@ -13,36 +13,21 @@
 //!     [--self-check 1] [--out results]
 //! ```
 
-use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::DriftScenario;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::GridShell;
 
 fn main() {
-    let args = Args::parse();
-    let obs_out = ObsOut::from_args(&args);
-    let seed: u64 = args.get_or("seed", 42);
-    let threads: usize = args.get_or("threads", 0);
-    let self_check: usize = args.get_or("self-check", 1);
-    let out_dir: String = args.get_or("out", "results".to_owned());
-    let sizes: Vec<usize> = args.list_or("sizes", vec![50, 300]);
+    let shell = GridShell::parse("sizes self-check");
+    let self_check: usize = shell.args.get_or("self-check", 1);
+    let sizes: Vec<usize> = shell.args.list_or("sizes", vec![50, 300]);
     println!(
         "# E12 incremental drift sweep (cold self-check: {})",
         self_check != 0
     );
     let scenario = DriftScenario {
         self_check: self_check != 0,
-        ..DriftScenario::standard(sizes, seed)
+        ..DriftScenario::standard(sizes, shell.seed)
     };
-    let path = std::path::Path::new(&out_dir).join("drift.csv");
-    let mut sink = CsvFileSink::new(&path);
-    let report =
-        engine::run(&scenario, &EngineConfig::with_threads(threads), &mut sink).expect("write CSV");
-    eprintln!(
-        "wrote {} rows to {} in {:.1}s ({} workers)",
-        sink.rows_written(),
-        path.display(),
-        report.wall,
-        report.workers,
-    );
-    obs_out.finish().expect("write observability outputs");
+    shell.run(&scenario, "drift.csv");
+    shell.finish();
 }

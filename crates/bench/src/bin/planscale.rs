@@ -31,10 +31,11 @@ use mspg::linearize::Linearizer;
 use probdag::{Evaluator, PathApprox};
 
 fn main() {
-    let args = Args::parse();
+    let args =
+        Args::parse("tasks shape width procs pfail seed plan-threads eval trace-out metrics-out");
     let obs_out = ObsOut::from_args(&args);
     let tasks: usize = args.get_or("tasks", 1_000_000);
-    let shape: String = args.get_or("shape", "chain".to_owned());
+    let shape = args.choice("shape", &["chain", "forkjoin"]);
     let width: usize = args.get_or("width", 1000);
     let procs: usize = args.get_or("procs", 8);
     let pfail: f64 = args.get_or("pfail", 0.001);
@@ -42,13 +43,12 @@ fn main() {
     let plan_threads: usize = args.get_or("plan-threads", 1);
     let eval: usize = args.get_or("eval", 1);
 
-    let w = in_stage(StageId::Generate, || match shape.as_str() {
-        "chain" => pegasus::generic::chain(tasks, seed),
+    let w = in_stage(StageId::Generate, || match shape {
         "forkjoin" => {
             let levels = (tasks / (width + 1)).max(1);
             pegasus::generic::fork_join(levels, width, seed)
         }
-        other => panic!("unknown --shape `{other}` (chain|forkjoin)"),
+        _ => pegasus::generic::chain(tasks, seed),
     });
     let n = w.n_tasks();
     let cfg = AllocateConfig {

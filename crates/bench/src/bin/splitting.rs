@@ -41,7 +41,9 @@ struct Point {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        "runs seed factor stride levels tail-at pfails procs mc-threads out trace-out metrics-out",
+    );
     let obs_out = ObsOut::from_args(&args);
     let max_runs: usize = args.get_or("runs", 65_536);
     let seed: u64 = args.get_or("seed", 42);

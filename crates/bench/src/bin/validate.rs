@@ -17,34 +17,20 @@
 //!     [--out results]
 //! ```
 
-use ckpt_bench::engine::{self, CsvFileSink, EngineConfig};
 use ckpt_bench::scenarios::ValidateScenario;
 use ckpt_bench::summary::EndpointSummary;
-use ckpt_bench::{Args, ObsOut};
+use ckpt_bench::GridShell;
 
 fn main() {
-    let args = Args::parse();
-    let obs_out = ObsOut::from_args(&args);
-    let runs: usize = args.get_or("runs", 5000);
-    let seed: u64 = args.get_or("seed", 42);
-    let threads: usize = args.get_or("threads", 0);
-    let mc_threads: usize = args.get_or("mc-threads", 0);
-    let plan_threads: usize = args.get_or("plan-threads", 1);
-    let out_dir: String = args.get_or("out", "results".to_owned());
+    let shell = GridShell::parse("runs mc-threads plan-threads");
+    let runs: usize = shell.args.get_or("runs", 5000);
     let scenario = ValidateScenario {
         runs,
         sizes: vec![50, 300],
-        base_seed: seed,
+        base_seed: shell.seed,
     };
     println!("# E5 model-vs-simulation validation ({runs} sim runs per cell)");
-    let path = std::path::Path::new(&out_dir).join("table_validation.csv");
-    let mut sink = CsvFileSink::new(&path);
-    let cfg = EngineConfig {
-        threads,
-        mc_threads,
-        plan_threads,
-    };
-    let report = engine::run(&scenario, &cfg, &mut sink).expect("write CSV");
+    let report = shell.run(&scenario, "table_validation.csv");
     println!(
         "{:8} {:5} {:7} {:9} {:>14} {:>12} {:>12} {:>9}",
         "class", "size", "pfail", "strategy", "model", "model_EM", "sim_EM", "err(%)"
@@ -74,14 +60,5 @@ fn main() {
     }
     println!("# E5 model-error summary");
     summary.print();
-    eprintln!(
-        "wrote {} ({} cells in {:.1}s, {} workers × {} sim threads)",
-        path.display(),
-        report.cells,
-        report.wall,
-        report.workers,
-        report.mc_threads
-    );
-    eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
-    obs_out.finish().expect("write observability outputs");
+    shell.finish();
 }

@@ -60,14 +60,13 @@ fn build_queries(n: usize, lambdas: usize, pfail: f64, procs: usize, kinds: &str
     let lambda = |i: usize| WhatIf::SetPfail(pfail * (1.0 + (i % lambdas) as f64 * 0.25));
     match kinds {
         "pfail" => (0..n).map(lambda).collect(),
-        "all" => (0..n)
+        _ => (0..n)
             .map(|i| match i % 4 {
                 0 | 1 => lambda(i / 2),
                 2 => WhatIf::SetPolicy(POLICIES[(i / 4) % POLICIES.len()]),
                 _ => WhatIf::SetProcs(procs + (i / 4) % 8),
             })
             .collect(),
-        other => panic!("unknown --kinds {other} (expected all|pfail)"),
     }
 }
 
@@ -104,15 +103,12 @@ fn csv_row(i: usize, q: &WhatIf, a: &Answer) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        "class size seed ccr procs pfail queries lambdas threads cold kinds out \
+         deadline-ms stats trace-out metrics-out",
+    );
     let obs_out = ObsOut::from_args(&args);
-    let class = match args.get_or("class", "montage".to_owned()).as_str() {
-        "genome" => WorkflowClass::Genome,
-        "montage" => WorkflowClass::Montage,
-        "ligo" => WorkflowClass::Ligo,
-        "cybershake" => WorkflowClass::Cybershake,
-        other => panic!("unknown --class {other}"),
-    };
+    let class = args.get_or("class", WorkflowClass::Montage);
     let size: usize = args.get_or("size", 300);
     let seed: u64 = args.get_or("seed", 9);
     let ccr: f64 = args.get_or("ccr", 0.05);
@@ -122,7 +118,7 @@ fn main() {
     let lambdas: usize = args.get_or("lambdas", 16);
     let threads: usize = args.get_or("threads", 0);
     let cold: usize = args.get_or("cold", 0);
-    let kinds: String = args.get_or("kinds", "all".to_owned());
+    let kinds = args.choice("kinds", &["all", "pfail"]);
     let out: String = args.get_or("out", "results/whatif.csv".to_owned());
     let deadline_ms: u64 = args.get_or("deadline-ms", 0);
     let deadline = (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms));
@@ -139,7 +135,7 @@ fn main() {
         ckpt_bench::BANDWIDTH,
         ModelSpec::Exponential { pfail },
     );
-    let queries = build_queries(n_queries, lambdas.max(1), pfail, procs, &kinds);
+    let queries = build_queries(n_queries, lambdas.max(1), pfail, procs, kinds);
 
     let t0 = Instant::now();
     // The incremental session outlives the batch so `--stats` and the

@@ -104,6 +104,26 @@ pub struct Cell {
 }
 
 impl Grid {
+    /// One instance per cell on the paper's second processor count for
+    /// each size, at the class's middle CCR: the grid E4, E5, E9, E10
+    /// and E12 sweep over classes, sizes and pfails.
+    pub fn midpoint(
+        classes: Vec<WorkflowClass>,
+        sizes: Vec<usize>,
+        pfails: Vec<f64>,
+        base_seed: u64,
+    ) -> Self {
+        Grid {
+            classes,
+            sizes,
+            procs: ProcAxis::PaperIndex(1),
+            pfails,
+            ccrs: CcrAxis::ClassMid,
+            instances: 1,
+            base_seed,
+        }
+    }
+
     /// Enumerates the grid's cells in canonical order.
     pub fn cells(&self) -> Vec<Cell> {
         assert!(self.instances >= 1, "grids need at least one instance");

@@ -3,8 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation (§VI).
 //! See DESIGN.md §5 for the experiment index (E1–E12) and §5.1 for the
 //! scenario engine; EXPERIMENTS.md tracks paper-vs-measured results.
-//! Binaries (all driven through [`engine`] by the scenarios in
-//! [`scenarios`], all accepting `--threads`):
+//! The grid binaries run the scenarios in [`scenarios`] on the
+//! [`engine`], each inside one [`GridShell`]:
 //!
 //! * `figures` — E1/E2/E3: relative expected makespan of CkptAll and
 //!   CkptNone over CkptSome vs CCR (Figures 5, 6, 7);
@@ -30,7 +30,7 @@ pub mod scenarios;
 pub mod summary;
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ckpt_core::{
     lambda_from_pfail, AllocateConfig, CkptAllPolicy, DpOptimalPolicy, Pipeline, Platform,
@@ -219,27 +219,38 @@ pub fn timed_eval(e: &dyn Evaluator, pdag: &probdag::ProbDag) -> (f64, f64) {
     (v, start.elapsed().as_secs_f64())
 }
 
-/// Tiny `--key value` argument parser for the harness binaries.
+/// Tiny `--key value` argument parser for the harness binaries and
+/// examples. Strict: every word is a flag the binary reads, followed by
+/// its value.
 pub struct Args {
     pairs: Vec<(String, String)>,
 }
 
 impl Args {
-    /// Parses `std::env::args()` (skipping the binary name).
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
+    /// Parses `std::env::args()` (skipping the binary name) against
+    /// `known`, the space-separated names of the flags the binary reads:
+    /// any other flag, a word that is not a flag's value, or a flag
+    /// without a value is a [`usage_error`].
+    pub fn parse(known: &str) -> Self {
+        Args::from_argv(std::env::args().skip(1), known).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    fn from_argv(argv: impl IntoIterator<Item = String>, known: &str) -> Result<Self, String> {
+        let mut argv = argv.into_iter().peekable();
         let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            if let Some(key) = argv[i].strip_prefix("--") {
-                let value = argv.get(i + 1).cloned().unwrap_or_default();
-                pairs.push((key.to_owned(), value));
-                i += 2;
-            } else {
-                i += 1;
+        while let Some(word) = argv.next() {
+            let key = word
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument {word:?}"))?;
+            if !known.split_whitespace().any(|k| k == key) {
+                return Err(format!("unknown flag --{key}"));
             }
+            let value = argv
+                .next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("missing value for --{key}"))?;
+            pairs.push((key.to_owned(), value));
         }
-        Args { pairs }
+        Ok(Args { pairs })
     }
 
     /// The value of `--key`, if present.
@@ -273,6 +284,24 @@ impl Args {
         self.parsed(key).unwrap_or(default)
     }
 
+    /// The value of a named-choice flag: one of `choices`, the first
+    /// when the flag is absent; any other value is a [`usage_error`].
+    pub fn choice(&self, key: &str, choices: &[&'static str]) -> &'static str {
+        let Some(v) = self.get(key) else {
+            return choices[0];
+        };
+        choices
+            .iter()
+            .copied()
+            .find(|&c| c == v)
+            .unwrap_or_else(|| {
+                let expected = choices.join("|");
+                usage_error(&format!(
+                    "invalid value {v:?} for --{key} (expected {expected})"
+                ))
+            })
+    }
+
     /// Parses `--key` as a comma-separated list of `T`, with a default
     /// when the flag is absent; an entry that does not parse is a
     /// [`usage_error`].
@@ -289,11 +318,96 @@ impl Args {
     }
 }
 
+/// The one optional positional argument of an example, `<name>`, parsed
+/// as `T`, with a default when it is absent; a value that does not
+/// parse, or any further word, is a [`usage_error`].
+pub fn positional_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match argv.as_slice() {
+        [] => default,
+        [v] => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("invalid value {v:?} for <{name}>"))),
+        [_, extra, ..] => usage_error(&format!("unexpected argument {extra:?}")),
+    }
+}
+
 /// Prints `error: {msg}` to stderr and exits with status 2: a bad
 /// command line, reported without a panic or a backtrace.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+/// The shell every grid binary runs in (DESIGN.md §5.1): the shared
+/// flags, one engine run per CSV file, and the common ending.
+///
+/// Every grid binary reads `--seed` (default 42), `--out` (default
+/// `results`), `--threads` (default 0 = all cores) and, through
+/// [`ObsOut`], `--trace-out` and `--metrics-out`. A binary whose cells
+/// nest Monte Carlo or placement work also lists `mc-threads` (default
+/// 0 = all cores) or `plan-threads` (default 1) among its own flags.
+pub struct GridShell {
+    /// The parsed command line, for the binary's own flags.
+    pub args: Args,
+    /// The `--seed` every scenario derives its cells' seeds from.
+    pub seed: u64,
+    out: PathBuf,
+    cfg: engine::EngineConfig,
+    obs_out: ObsOut,
+}
+
+impl GridShell {
+    /// Parses the command line of a grid binary whose own flags are
+    /// `own` (space-separated) and arms the requested observability
+    /// outputs.
+    pub fn parse(own: &str) -> Self {
+        let args = Args::parse(&format!("seed out threads trace-out metrics-out {own}"));
+        let obs_out = ObsOut::from_args(&args);
+        let cfg = engine::EngineConfig {
+            threads: args.get_or("threads", 0),
+            mc_threads: args.get_or("mc-threads", 0),
+            plan_threads: args.get_or("plan-threads", 1),
+        };
+        GridShell {
+            seed: args.get_or("seed", 42),
+            out: args.get_or("out", PathBuf::from("results")),
+            cfg,
+            obs_out,
+            args,
+        }
+    }
+
+    /// Runs `scenario` into `<out>/<file>` and prints one stderr summary
+    /// line.
+    pub fn run<S: engine::Scenario>(&self, scenario: &S, file: &str) -> engine::RunReport<S::Row> {
+        let path = self.out.join(file);
+        let mut sink = engine::CsvFileSink::new(&path);
+        let report = engine::run(scenario, &self.cfg, &mut sink).expect("write CSV");
+        let cache = &report.cache;
+        eprintln!(
+            "wrote {} rows to {} in {:.1}s ({} workers × {} MC threads; \
+             workflow store {}/{} hits, schedule store {}/{} hits)",
+            sink.rows_written(),
+            path.display(),
+            report.wall,
+            report.workers,
+            report.mc_threads,
+            cache.workflow_hits,
+            cache.workflow_hits + cache.workflow_misses,
+            cache.schedule_hits,
+            cache.schedule_hits + cache.schedule_misses,
+        );
+        report
+    }
+
+    /// Prints the stage-walls line (the process-wide
+    /// `ckpt_stage_wall_seconds` histogram) and writes the observability
+    /// outputs; call once, after the last run.
+    pub fn finish(self) {
+        eprintln!("stage walls: {}", ckpt_core::stage::wall_summary());
+        self.obs_out.finish().expect("write observability outputs");
+    }
 }
 
 /// Observability outputs for a harness binary, parsed from
@@ -400,6 +514,39 @@ mod tests {
         assert_eq!(args.get("workflow"), Some("ligo"));
         assert_eq!(args.get_or("points", 9usize), 5);
         assert_eq!(args.get_or("instances", 3usize), 3);
+    }
+
+    fn argv(words: &[&str]) -> Result<Args, String> {
+        Args::from_argv(words.iter().map(|w| w.to_string()), "runs out")
+    }
+
+    #[test]
+    fn args_report_a_flag_without_a_value_as_missing() {
+        let err = |words: &[&str]| argv(words).err();
+        let missing = Some("missing value for --runs".to_owned());
+        assert_eq!(err(&["--runs", "--out", "dir"]), missing);
+        assert_eq!(err(&["--out", "dir", "--runs"]), missing);
+        assert_eq!(argv(&["--runs", "-3"]).unwrap().get("runs"), Some("-3"));
+    }
+
+    #[test]
+    fn args_reject_a_flag_the_binary_does_not_read() {
+        assert_eq!(
+            argv(&["--runs", "4", "--bogus", "7"]).err(),
+            Some("unknown flag --bogus".to_owned())
+        );
+    }
+
+    #[test]
+    fn args_reject_a_word_that_is_not_a_flag_value() {
+        assert_eq!(
+            argv(&["--runs", "4", "stray"]).err(),
+            Some("unexpected argument \"stray\"".to_owned())
+        );
+        assert_eq!(
+            argv(&["runs", "4"]).err(),
+            Some("unexpected argument \"runs\"".to_owned())
+        );
     }
 
     #[test]

@@ -7,20 +7,21 @@
 //! ([`StrategiesScenario`]) along the checkpoint-policy axis (the DP vs
 //! Young/Daly periodic, risk-threshold, and structural placements).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ckpt_core::stage::schedule_stage;
 use ckpt_core::{
-    AllocateConfig, CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy, Schedule,
-    StageId,
+    AllocateConfig, Assessment, CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy,
+    Pipeline, Schedule, StageId,
 };
 use ckpt_service::{ModelSpec, PolicySpec};
-use failsim::{montecarlo_none_model, montecarlo_segments_model, SimConfig};
+use failsim::{montecarlo_none_model, montecarlo_segments_model, McStats, SimConfig};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
 use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
-use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
+use probdag::{Dodin, MonteCarlo, NormalSculli, PathApprox};
 
 use crate::engine::{in_stage, CcrAxis, Cell, CellCtx, Grid, ProcAxis, Scenario};
 use crate::{figure_csv, timed_eval, FigureRow, BANDWIDTH, FIGURE_HEADER, PFAILS, SIZES};
@@ -176,15 +177,13 @@ impl Scenario for AccuracyScenario {
     }
 
     fn cells(&self) -> Vec<Cell> {
-        Grid {
-            classes: WorkflowClass::ALL.to_vec(),
-            sizes: self.sizes.clone(),
-            procs: ProcAxis::PaperIndex(1),
-            pfails: vec![self.pfail],
-            ccrs: CcrAxis::ClassMid,
-            instances: 1,
-            base_seed: self.base_seed,
-        }
+        let classes = WorkflowClass::ALL.to_vec();
+        Grid::midpoint(
+            classes,
+            self.sizes.clone(),
+            vec![self.pfail],
+            self.base_seed,
+        )
         .cells()
     }
 
@@ -257,6 +256,61 @@ impl Scenario for AccuracyScenario {
     }
 }
 
+/// The paper's model-vs-simulation check of one placement on one
+/// pipeline, shared by E5, E9 and E10: the analytic value next to its
+/// discrete-event ground truth on the same inputs.
+struct ModelVsSim {
+    /// PathApprox on the placement's segment graph, or Theorem 1 for
+    /// CkptNone.
+    model: Assessment,
+    /// The segment Monte Carlo on the same graph, or the CkptNone
+    /// crossover-cascade simulation.
+    sim: McStats,
+    /// |model − sim| / sim, percent; `inf` when the simulated mean is
+    /// not finite (every CkptNone run diverged), not `inf/inf = NaN`.
+    rel_err_pct: f64,
+    /// Diverged CkptNone runs (0 for a placement).
+    diverged: usize,
+}
+
+/// [`ModelVsSim`] for `policy`'s placement, or for CkptNone when
+/// `policy` is `None`, simulated under the pipeline's failure model.
+fn model_vs_sim(
+    pipe: &Pipeline<'_>,
+    policy: Option<&dyn CheckpointPolicy>,
+    cfg: &SimConfig,
+) -> ModelVsSim {
+    let failures = &pipe.platform.model;
+    let (model, sim, diverged) = match policy {
+        Some(policy) => {
+            let sg = pipe.segment_graph(policy);
+            let model = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
+            let sim = in_stage(StageId::EvalMc, || {
+                montecarlo_segments_model(&sg, failures, cfg)
+            });
+            (model, sim, 0)
+        }
+        None => {
+            let dag = &pipe.workflow.dag;
+            let sim = in_stage(StageId::EvalMc, || {
+                montecarlo_none_model(dag, &pipe.schedule, failures, cfg)
+            });
+            (pipe.assess_none(), sim.stats, sim.diverged)
+        }
+    };
+    let rel_err_pct = if sim.mean_makespan.is_finite() {
+        100.0 * (model.expected_makespan - sim.mean_makespan).abs() / sim.mean_makespan
+    } else {
+        f64::INFINITY
+    };
+    ModelVsSim {
+        model,
+        sim,
+        rel_err_pct,
+        diverged,
+    }
+}
+
 /// One row of the E5 validation table.
 #[derive(Clone, Debug)]
 pub struct ValidateRow {
@@ -305,16 +359,8 @@ impl Scenario for ValidateScenario {
     }
 
     fn cells(&self) -> Vec<Cell> {
-        Grid {
-            classes: WorkflowClass::ALL.to_vec(),
-            sizes: self.sizes.clone(),
-            procs: ProcAxis::PaperIndex(1),
-            pfails: PFAILS.to_vec(),
-            ccrs: CcrAxis::ClassMid,
-            instances: 1,
-            base_seed: self.base_seed,
-        }
-        .cells()
+        let classes = WorkflowClass::ALL.to_vec();
+        Grid::midpoint(classes, self.sizes.clone(), PFAILS.to_vec(), self.base_seed).cells()
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<ValidateRow> {
@@ -326,52 +372,30 @@ impl Scenario for ValidateScenario {
             threads: ctx.mc_threads,
             ..Default::default()
         };
-        let evaluator = PathApprox::default();
-        let mut rows = Vec::with_capacity(3);
-        let policies: [&dyn CheckpointPolicy; 2] = [&CkptAllPolicy, &DpOptimalPolicy];
-        for policy in policies {
-            // One segment graph serves both the analytic estimate and the
-            // simulation (assess = segment_graph + evaluator, so this is
-            // bit-identical to assessing separately at half the planning
-            // cost).
-            let sg = pipe.segment_graph(policy);
-            let model = in_stage(StageId::EvalAnalytic, || {
-                evaluator.expected_makespan(&sg.pdag)
-            });
-            let sim = in_stage(StageId::EvalMc, || {
-                montecarlo_segments_model(&sg, &pipe.platform.model, &cfg)
-            });
-            rows.push(ValidateRow {
-                class: cell.class,
-                size: cell.size,
-                pfail: cell.pfail,
-                strategy: policy.name(),
-                model: "Eq2+PathApprox",
-                model_em: model,
-                sim_em: sim.mean_makespan,
-                sim_stderr: sim.stderr,
-                rel_err_pct: 100.0 * (model - sim.mean_makespan).abs() / sim.mean_makespan,
-                diverged: 0,
-            });
-        }
-        let none = pipe.assess_none();
-        let model = none.expected_makespan;
-        let sim = in_stage(StageId::EvalMc, || {
-            montecarlo_none_model(&w.dag, &pipe.schedule, &pipe.platform.model, &cfg)
-        });
-        rows.push(ValidateRow {
-            class: cell.class,
-            size: cell.size,
-            pfail: cell.pfail,
-            strategy: none.policy,
-            model: "Theorem1",
-            model_em: model,
-            sim_em: sim.stats.mean_makespan,
-            sim_stderr: sim.stats.stderr,
-            rel_err_pct: 100.0 * (model - sim.stats.mean_makespan).abs() / sim.stats.mean_makespan,
-            diverged: sim.diverged,
-        });
-        rows
+        let placements: [Option<&dyn CheckpointPolicy>; 3] =
+            [Some(&CkptAllPolicy), Some(&DpOptimalPolicy), None];
+        placements
+            .into_iter()
+            .map(|policy| {
+                let check = model_vs_sim(&pipe, policy, &cfg);
+                ValidateRow {
+                    class: cell.class,
+                    size: cell.size,
+                    pfail: cell.pfail,
+                    strategy: check.model.policy,
+                    model: if policy.is_some() {
+                        "Eq2+PathApprox"
+                    } else {
+                        "Theorem1"
+                    },
+                    model_em: check.model.expected_makespan,
+                    sim_em: check.sim.mean_makespan,
+                    sim_stderr: check.sim.stderr,
+                    rel_err_pct: check.rel_err_pct,
+                    diverged: check.diverged,
+                }
+            })
+            .collect()
     }
 
     fn header(&self) -> String {
@@ -711,22 +735,54 @@ impl Scenario for LigoFootnoteScenario {
     }
 }
 
-/// The cells of `base` repeated `blocks` times, re-indexed: the E9/E10
-/// block grids, where every block pairs the same lanes, seeds and
-/// pfails. `per_block` is the block size the scenario computes
-/// arithmetically; it must match the enumeration.
-fn repeat_blocks(base: Grid, per_block: usize, blocks: usize) -> Vec<Cell> {
-    let base = base.cells();
-    assert_eq!(
-        base.len(),
-        per_block,
-        "block size out of sync with the base grid"
-    );
-    (0..blocks)
-        .flat_map(|_| &base)
-        .enumerate()
-        .map(|(index, c)| Cell { index, ..c.clone() })
-        .collect()
+/// The E9/E10 cell layout: the cells of a base grid repeated once per
+/// block, block-major and re-indexed, so every block pairs the same
+/// lanes, seeds and pfails (a paired comparison across blocks).
+struct Blocks<B> {
+    base: Vec<Cell>,
+    blocks: Vec<B>,
+}
+
+impl<B: Copy> Blocks<B> {
+    fn new(base: Grid, blocks: Vec<B>) -> Self {
+        assert!(!blocks.is_empty(), "need at least one block");
+        Blocks {
+            base: base.cells(),
+            blocks,
+        }
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        (0..self.blocks.len())
+            .flat_map(|_| &self.base)
+            .enumerate()
+            .map(|(index, c)| Cell { index, ..c.clone() })
+            .collect()
+    }
+
+    /// The block `cell` belongs to.
+    fn of(&self, cell: &Cell) -> B {
+        self.blocks[cell.index / self.base.len()]
+    }
+
+    /// Each block with its contiguous cell-index range.
+    fn ranges(&self) -> impl Iterator<Item = (B, Range<usize>)> + '_ {
+        let n = self.base.len();
+        self.blocks
+            .iter()
+            .enumerate()
+            .map(move |(b, &block)| (block, b * n..(b + 1) * n))
+    }
+}
+
+/// The `family(shape)` label of a failure-model block.
+fn model_label(spec: &ModelSpec) -> String {
+    let family = match spec {
+        ModelSpec::Weibull { .. } => "weibull",
+        ModelSpec::LogNormal { .. } => "lognormal",
+        _ => "exponential",
+    };
+    format!("{family}({})", spec.shape())
 }
 
 /// One row of the E9 `distributions` table.
@@ -811,48 +867,25 @@ impl DistributionsScenario {
         }
     }
 
-    fn base_grid(&self) -> Grid {
-        Grid {
-            classes: WorkflowClass::ALL.to_vec(),
-            sizes: self.sizes.clone(),
-            procs: ProcAxis::PaperIndex(1),
-            pfails: self.pfails.clone(),
-            ccrs: CcrAxis::ClassMid,
-            instances: 1,
-            base_seed: self.base_seed,
-        }
-    }
-
-    /// Cells per model block, computed arithmetically from the base
-    /// grid's axes (`classes × sizes × procs(1 each) × pfails ×
-    /// CCR(1)`); `cells()` asserts it against the actual enumeration so
-    /// it cannot drift from [`DistributionsScenario::base_grid`].
-    fn cells_per_model(&self) -> usize {
-        WorkflowClass::ALL.len() * self.sizes.len() * self.pfails.len()
-    }
-
-    /// The model a cell belongs to (cells are the base grid repeated
-    /// once per model, in model order).
-    fn model_of(&self, cell: &Cell) -> ModelSpec {
-        self.models[cell.index / self.cells_per_model()]
+    fn layout(&self) -> Blocks<ModelSpec> {
+        let classes = WorkflowClass::ALL.to_vec();
+        let base = Grid::midpoint(
+            classes,
+            self.sizes.clone(),
+            self.pfails.clone(),
+            self.base_seed,
+        );
+        Blocks::new(base, self.models.clone())
     }
 
     /// The contiguous cell-index range of each model's block, labelled
     /// `family(shape)` — used by the binary to attribute per-block
     /// wall-clock from [`crate::engine::RunReport::cell_walls`].
-    pub fn model_blocks(&self) -> Vec<(String, std::ops::Range<usize>)> {
-        let block = self.cells_per_model();
-        self.models
-            .iter()
-            .enumerate()
-            .map(|(m, spec)| {
-                let label = match spec.with_pfail(0.0) {
-                    ModelSpec::Weibull { shape, .. } => format!("weibull(k={shape})"),
-                    ModelSpec::LogNormal { sigma, .. } => format!("lognormal(s={sigma})"),
-                    _ => "exponential".to_owned(),
-                };
-                (label, m * block..(m + 1) * block)
-            })
+    pub fn blocks(&self) -> Vec<(String, Range<usize>)> {
+        let layout = self.layout();
+        layout
+            .ranges()
+            .map(|(spec, r)| (model_label(&spec), r))
             .collect()
     }
 }
@@ -865,12 +898,11 @@ impl Scenario for DistributionsScenario {
     }
 
     fn cells(&self) -> Vec<Cell> {
-        assert!(!self.models.is_empty(), "need at least one model");
-        repeat_blocks(self.base_grid(), self.cells_per_model(), self.models.len())
+        self.layout().cells()
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<DistributionRow> {
-        let spec = self.model_of(cell).with_pfail(cell.pfail);
+        let spec = self.layout().of(cell).with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
         let model = spec.build(w.dag.mean_weight());
         let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
@@ -885,11 +917,17 @@ impl Scenario for DistributionsScenario {
             max_failures: 10_000,
             ..Default::default()
         };
-        let evaluator = PathApprox::default();
-        let mut rows = Vec::with_capacity(4);
-        let mut row =
-            |strategy: &'static str, model_em: f64, sim_em: f64, stderr: f64, div: usize| {
-                rows.push(DistributionRow {
+        let placements: [Option<&dyn CheckpointPolicy>; 4] = [
+            Some(&CkptAllPolicy),
+            Some(&DpOptimalPolicy),
+            Some(&ExitOnlyPolicy),
+            None,
+        ];
+        placements
+            .into_iter()
+            .map(|policy| {
+                let check = model_vs_sim(&pipe, policy, &cfg);
+                DistributionRow {
                     class: cell.class,
                     size: cell.size,
                     procs: cell.procs,
@@ -897,47 +935,15 @@ impl Scenario for DistributionsScenario {
                     ccr: cell.ccr,
                     model: model.family_name(),
                     shape: spec.shape(),
-                    strategy,
-                    model_em,
-                    sim_em,
-                    sim_stderr: stderr,
-                    // A fully censored simulation (every CkptNone run
-                    // diverged, sim_em = ∞) has unbounded model error; keep
-                    // the column an explicit `inf`, not `inf/inf = NaN`.
-                    rel_err_pct: if sim_em.is_finite() {
-                        100.0 * (model_em - sim_em).abs() / sim_em
-                    } else {
-                        f64::INFINITY
-                    },
-                    diverged: div,
-                });
-            };
-        let policies: [&dyn CheckpointPolicy; 3] =
-            [&CkptAllPolicy, &DpOptimalPolicy, &ExitOnlyPolicy];
-        for policy in policies {
-            // One segment graph per placement for both columns (see
-            // ValidateScenario::run_cell).
-            let sg = pipe.segment_graph(policy);
-            let model_em = in_stage(StageId::EvalAnalytic, || {
-                evaluator.expected_makespan(&sg.pdag)
-            });
-            let sim = in_stage(StageId::EvalMc, || {
-                montecarlo_segments_model(&sg, &model, &cfg)
-            });
-            row(policy.name(), model_em, sim.mean_makespan, sim.stderr, 0);
-        }
-        let none = pipe.assess_none();
-        let sim = in_stage(StageId::EvalMc, || {
-            montecarlo_none_model(&w.dag, &pipe.schedule, &model, &cfg)
-        });
-        row(
-            none.policy,
-            none.expected_makespan,
-            sim.stats.mean_makespan,
-            sim.stats.stderr,
-            sim.diverged,
-        );
-        rows
+                    strategy: check.model.policy,
+                    model_em: check.model.expected_makespan,
+                    sim_em: check.sim.mean_makespan,
+                    sim_stderr: check.sim.stderr,
+                    rel_err_pct: check.rel_err_pct,
+                    diverged: check.diverged,
+                }
+            })
+            .collect()
     }
 
     fn header(&self) -> String {
@@ -1065,54 +1071,30 @@ impl StrategiesScenario {
         }
     }
 
-    fn base_grid(&self) -> Grid {
-        Grid {
-            classes: self.classes.clone(),
-            sizes: self.sizes.clone(),
-            procs: ProcAxis::PaperIndex(1),
-            pfails: self.pfails.clone(),
-            ccrs: CcrAxis::ClassMid,
-            instances: 1,
-            base_seed: self.base_seed,
-        }
-    }
-
-    /// Cells per `(policy, model)` block, computed arithmetically from
-    /// the base grid's axes; `cells()` asserts it against the actual
-    /// enumeration.
-    fn cells_per_block(&self) -> usize {
-        self.classes.len() * self.sizes.len() * self.pfails.len()
-    }
-
-    /// The `(policy, model)` pair a cell belongs to.
-    fn block_of(&self, cell: &Cell) -> (PolicySpec, ModelSpec) {
-        let block = cell.index / self.cells_per_block();
-        (
-            self.policies[block / self.models.len()],
-            self.models[block % self.models.len()],
-        )
+    fn layout(&self) -> Blocks<(PolicySpec, ModelSpec)> {
+        let base = Grid::midpoint(
+            self.classes.clone(),
+            self.sizes.clone(),
+            self.pfails.clone(),
+            self.base_seed,
+        );
+        let blocks = self
+            .policies
+            .iter()
+            .flat_map(|&p| self.models.iter().map(move |&m| (p, m)))
+            .collect();
+        Blocks::new(base, blocks)
     }
 
     /// The contiguous cell-index range of each `(policy, model)` block,
     /// labelled `policy/family(shape)` — used by the binary to
     /// attribute per-block wall-clock.
-    pub fn blocks(&self) -> Vec<(String, std::ops::Range<usize>)> {
-        let block = self.cells_per_block();
-        let mut out = Vec::with_capacity(self.policies.len() * self.models.len());
-        for (p, policy) in self.policies.iter().enumerate() {
-            for (m, spec) in self.models.iter().enumerate() {
-                let i = p * self.models.len() + m;
-                let spec = spec.with_pfail(0.0);
-                let family = match spec {
-                    ModelSpec::Weibull { .. } => "weibull",
-                    ModelSpec::LogNormal { .. } => "lognormal",
-                    _ => "exponential",
-                };
-                let label = format!("{}/{family}({})", policy.name(), spec.shape());
-                out.push((label, i * block..(i + 1) * block));
-            }
-        }
-        out
+    pub fn blocks(&self) -> Vec<(String, Range<usize>)> {
+        let layout = self.layout();
+        let label = |(policy, spec): (PolicySpec, ModelSpec)| {
+            format!("{}/{}", policy.name(), model_label(&spec))
+        };
+        layout.ranges().map(|(b, r)| (label(b), r)).collect()
     }
 }
 
@@ -1124,22 +1106,15 @@ impl Scenario for StrategiesScenario {
     }
 
     fn cells(&self) -> Vec<Cell> {
-        assert!(!self.policies.is_empty(), "need at least one policy");
-        assert!(!self.models.is_empty(), "need at least one model");
-        let blocks = self.policies.len() * self.models.len();
-        repeat_blocks(self.base_grid(), self.cells_per_block(), blocks)
+        self.layout().cells()
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<StrategyRow> {
-        let (policy, spec) = self.block_of(cell);
+        let (policy, spec) = self.layout().of(cell);
         let spec = spec.with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
         let model = spec.build(w.dag.mean_weight());
         let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
-        // One segment graph serves the analytic assessment (with its
-        // placement census) and the simulation ground truth.
-        let sg = pipe.segment_graph(policy.build().as_ref());
-        let assessment = pipe.assess_graph(policy.name(), &sg, &PathApprox::default());
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -1147,9 +1122,7 @@ impl Scenario for StrategiesScenario {
             max_failures: 10_000,
             ..Default::default()
         };
-        let sim = in_stage(StageId::EvalMc, || {
-            montecarlo_segments_model(&sg, &model, &cfg)
-        });
+        let check = model_vs_sim(&pipe, Some(policy.build().as_ref()), &cfg);
         vec![StrategyRow {
             class: cell.class,
             size: cell.size,
@@ -1158,18 +1131,14 @@ impl Scenario for StrategiesScenario {
             ccr: cell.ccr,
             model: model.family_name(),
             shape: spec.shape(),
-            policy: assessment.policy,
-            model_em: assessment.expected_makespan,
-            sim_em: sim.mean_makespan,
-            sim_stderr: sim.stderr,
-            rel_err_pct: if sim.mean_makespan.is_finite() {
-                100.0 * (assessment.expected_makespan - sim.mean_makespan).abs() / sim.mean_makespan
-            } else {
-                f64::INFINITY
-            },
-            segments: assessment.n_segments,
-            ckpt_files: assessment.ckpt_files,
-            ckpt_bytes: assessment.ckpt_bytes,
+            policy: check.model.policy,
+            model_em: check.model.expected_makespan,
+            sim_em: check.sim.mean_makespan,
+            sim_stderr: check.sim.stderr,
+            rel_err_pct: check.rel_err_pct,
+            segments: check.model.n_segments,
+            ckpt_files: check.model.ckpt_files,
+            ckpt_bytes: check.model.ckpt_bytes,
         }]
     }
 
@@ -1311,16 +1280,8 @@ impl Scenario for DriftScenario {
     }
 
     fn cells(&self) -> Vec<Cell> {
-        Grid {
-            classes: self.classes.clone(),
-            sizes: self.sizes.clone(),
-            procs: ProcAxis::PaperIndex(1),
-            pfails: vec![self.pfail],
-            ccrs: CcrAxis::ClassMid,
-            instances: 1,
-            base_seed: self.base_seed,
-        }
-        .cells()
+        let (classes, sizes) = (self.classes.clone(), self.sizes.clone());
+        Grid::midpoint(classes, sizes, vec![self.pfail], self.base_seed).cells()
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<DriftRow> {
@@ -1521,12 +1482,16 @@ mod tests {
         }
         // Every block shares lane seeds with the base grid (paired
         // comparison along both the policy and the model axis).
-        let block = s.cells_per_block();
+        let block = 2 * 2;
         for k in 0..cells.len() {
             assert_eq!(cells[k].seed, cells[k % block].seed);
             assert_eq!(cells[k].pfail, cells[k % block].pfail);
         }
-        assert_eq!(s.blocks().len(), 6 * 3);
+        let blocks = s.blocks();
+        assert_eq!(blocks.len(), 6 * 3);
+        for (b, (_, range)) in blocks.into_iter().enumerate() {
+            assert_eq!(range, b * block..(b + 1) * block);
+        }
     }
 
     #[test]
@@ -1550,7 +1515,8 @@ mod tests {
             base_seed: 13,
         };
         let report = engine::run(&s, &EngineConfig::with_threads(2), &mut NullSink).unwrap();
-        let block = s.cells_per_block();
+        // 1 class × 1 size × 1 pfail per (policy, model) block.
+        let block = 1;
         assert_eq!(report.rows.len(), 4 * 2 * block);
         for r in &report.rows {
             assert!(r.model_em > 0.0 && r.sim_em > 0.0, "{r:?}");

@@ -1,4 +1,4 @@
-//! Cooperative cancellation and deadline budgets.
+//! Cooperative deadline budgets.
 //!
 //! The planning hot loops (the checkpoint DP's `O(n²)` sweep, the
 //! Monte Carlo replication loop) can run for seconds on large inputs; a
@@ -27,13 +27,11 @@
 //! is ever cached: the unwind destroys the stage's locals before the
 //! memo slot is filled.
 //!
-//! A `Budget` is cheap to poll (`Instant::now` plus one atomic load)
-//! and clone-free to share: stages receive `Option<&Budget>` via
-//! `CostCtx` and check it only when present, so the offline paths pay a
-//! single well-predicted branch.
+//! A `Budget` is cheap to poll (one `Instant::now`) and clone-free to
+//! share: stages receive `Option<&Budget>` via `CostCtx` and check it
+//! only when present, so the offline paths pay a single well-predicted
+//! branch.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The typed unwind payload of a cooperative cancellation. Catchers
@@ -60,38 +58,24 @@ impl std::fmt::Display for Cancelled {
     }
 }
 
-/// A cooperative cancellation/deadline budget shared between a request
-/// and the stages computing it.
-#[derive(Clone, Debug, Default)]
+/// A cooperative deadline budget shared between a request and the
+/// stages computing it.
+#[derive(Clone, Debug)]
 pub struct Budget {
-    deadline: Option<Instant>,
-    cancelled: Arc<AtomicBool>,
+    deadline: Instant,
 }
 
 impl Budget {
-    /// A budget that never expires on its own (but can still be
-    /// [`Budget::cancel`]led).
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
     /// A budget expiring `limit` from now.
     pub fn with_deadline(limit: Duration) -> Self {
         Budget {
-            deadline: Some(Instant::now() + limit),
-            cancelled: Arc::new(AtomicBool::new(false)),
+            deadline: Instant::now() + limit,
         }
     }
 
-    /// Marks the budget cancelled; every sharer's next [`Budget::check`]
-    /// aborts.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the budget has been cancelled or its deadline passed.
+    /// Whether the deadline has passed.
     pub fn is_exhausted(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
+        Instant::now() >= self.deadline
     }
 
     /// Cooperative cancellation point: unwinds with [`Cancelled`] when
@@ -100,16 +84,6 @@ impl Budget {
     pub fn check(&self) {
         if self.is_exhausted() {
             Cancelled::throw()
-        }
-    }
-
-    /// [`Budget::check`] as a `Result`, for code already on a fallible
-    /// path (stage boundaries rather than hot loops).
-    pub fn check_ok(&self) -> Result<(), Cancelled> {
-        if self.is_exhausted() {
-            Err(Cancelled)
-        } else {
-            Ok(())
         }
     }
 }
@@ -149,20 +123,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unlimited_budget_never_trips() {
-        let b = Budget::unlimited();
+    fn future_deadline_does_not_trip() {
+        let b = Budget::with_deadline(Duration::from_secs(3600));
         assert!(!b.is_exhausted());
         b.check(); // must not unwind
-        assert!(b.check_ok().is_ok());
-    }
-
-    #[test]
-    fn cancel_trips_all_clones() {
-        let b = Budget::unlimited();
-        let c = b.clone();
-        b.cancel();
-        assert!(c.is_exhausted());
-        assert!(c.check_ok().is_err());
     }
 
     #[test]

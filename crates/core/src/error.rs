@@ -119,17 +119,6 @@ impl PlanError {
             _ => 1,
         }
     }
-
-    /// Whether retrying the exact same request could ever succeed.
-    /// Deterministically-invalid requests (and deterministic numeric
-    /// failures) are not retryable; cancellations and stage deaths are
-    /// (the fault may have been transient).
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            PlanError::InvalidInput { .. } | PlanError::Numeric { .. } => false,
-            PlanError::Cancelled | PlanError::StageFailed { .. } => true,
-        }
-    }
 }
 
 impl std::fmt::Display for PlanError {
@@ -214,23 +203,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("placement") && s.contains("3") && s.contains("boom"));
         assert!(PlanError::Cancelled.to_string().contains("cancelled"));
-    }
-
-    #[test]
-    fn retryability_follows_the_taxonomy() {
-        assert!(!PlanError::invalid("x", "bad").is_retryable());
-        assert!(!PlanError::Numeric {
-            stage: StageId::EvalAnalytic,
-            message: "NaN".into()
-        }
-        .is_retryable());
-        assert!(PlanError::Cancelled.is_retryable());
-        assert!(PlanError::StageFailed {
-            stage: StageId::Curve,
-            message: "died".into(),
-            attempts: 1
-        }
-        .is_retryable());
     }
 
     #[test]

@@ -165,14 +165,6 @@ impl FailureModel {
         matches!(self, FailureModel::Exponential { .. })
     }
 
-    /// The exponential rate, if this is the exponential model.
-    pub fn exponential_rate(&self) -> Option<f64> {
-        match *self {
-            FailureModel::Exponential { lambda } => Some(lambda),
-            _ => None,
-        }
-    }
-
     /// Survival function `S(t) = P(time to failure > t)`.
     pub fn survival(&self, t: f64) -> f64 {
         if t <= 0.0 {
@@ -590,8 +582,10 @@ mod tests {
 
     #[test]
     fn exponential_calibration_matches_pfail_roundtrip() {
-        let m = FailureModel::exponential_from_pfail(0.01, 12.0);
-        let lambda = m.exponential_rate().unwrap();
+        let FailureModel::Exponential { lambda } = FailureModel::exponential_from_pfail(0.01, 12.0)
+        else {
+            panic!("exponential_from_pfail must build the exponential model");
+        };
         assert!((pfail_from_lambda(lambda, 12.0) - 0.01).abs() < 1e-12);
     }
 

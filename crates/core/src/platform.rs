@@ -39,12 +39,6 @@ impl Platform {
         }
     }
 
-    /// Time to read or write `bytes` from/to stable storage.
-    #[inline]
-    pub fn io_time(&self, bytes: f64) -> f64 {
-        bytes / self.bandwidth
-    }
-
     /// The paper's processor counts for each workflow size (§VI, figures
     /// 5–7): 50 → {3,5,7,10}, 300 → {18,35,52,70}, 1000 → {61,123,184,245}.
     pub fn paper_proc_counts(n_tasks: usize) -> &'static [usize] {
@@ -59,13 +53,6 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn io_time() {
-        let p = Platform::new(4, 1e-6, 1e8);
-        assert_eq!(p.io_time(1e8), 1.0);
-        assert_eq!(p.io_time(0.0), 0.0);
-    }
 
     #[test]
     fn paper_counts() {

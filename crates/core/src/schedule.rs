@@ -15,43 +15,6 @@ pub struct Superchain {
     pub tasks: Vec<TaskId>,
 }
 
-impl Superchain {
-    /// Tasks with at least one successor outside the superchain, or the
-    /// final workflow outputs (no successors at all) — the tasks whose
-    /// data the superchain checkpoint must preserve.
-    pub fn exit_tasks(&self, dag: &Dag) -> Vec<TaskId> {
-        let member = self.membership(dag);
-        self.tasks
-            .iter()
-            .copied()
-            .filter(|&t| {
-                dag.succs(t).iter().any(|&(v, _)| !member[v.index()]) || dag.succs(t).is_empty()
-            })
-            .collect()
-    }
-
-    /// Tasks with at least one predecessor outside the superchain (or a
-    /// workflow-input file).
-    pub fn entry_tasks(&self, dag: &Dag) -> Vec<TaskId> {
-        let member = self.membership(dag);
-        self.tasks
-            .iter()
-            .copied()
-            .filter(|&t| {
-                dag.preds(t).iter().any(|&(u, _)| !member[u.index()]) || dag.preds(t).is_empty()
-            })
-            .collect()
-    }
-
-    fn membership(&self, dag: &Dag) -> Vec<bool> {
-        let mut member = vec![false; dag.n_tasks()];
-        for &t in &self.tasks {
-            member[t.index()] = true;
-        }
-        member
-    }
-}
-
 /// A complete schedule: every task assigned to a superchain, superchains
 /// ordered per processor.
 #[derive(Clone, Debug)]
@@ -320,18 +283,6 @@ mod tests {
         ];
         let sched = Schedule::from_superchains(&w.dag, 2, scs);
         (w, sched)
-    }
-
-    #[test]
-    fn entry_exit_tasks() {
-        let (w, sched) = manual_schedule();
-        let sc_a = &sched.superchains[0];
-        assert_eq!(sc_a.exit_tasks(&w.dag), vec![TaskId(0)]);
-        assert!(sc_a.entry_tasks(&w.dag).is_empty() || !sc_a.entry_tasks(&w.dag).is_empty());
-        let sc_d = &sched.superchains[3];
-        // d has no successors: still an exit (final outputs).
-        assert_eq!(sc_d.exit_tasks(&w.dag), vec![TaskId(3)]);
-        assert_eq!(sc_d.entry_tasks(&w.dag), vec![TaskId(3)]);
     }
 
     #[test]

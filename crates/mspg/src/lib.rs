@@ -24,7 +24,6 @@
 
 pub mod dag;
 pub mod decompose;
-pub mod dot;
 pub mod expr;
 pub mod file;
 pub mod gen;

@@ -386,12 +386,6 @@ pub fn enter(name: &'static str) -> SpanGuard {
     open(name, None, None, Parent::Current)
 }
 
-/// Open a span with a batch/grid position, under the current span.
-#[inline(always)]
-pub fn enter_ord(name: &'static str, ord: u64) -> SpanGuard {
-    open(name, None, Some(ord), Parent::Current)
-}
-
 /// Open a span carrying a fingerprint key, under the current span.
 #[inline(always)]
 pub fn enter_key(name: &'static str, key: u64) -> SpanGuard {
@@ -424,7 +418,7 @@ mod live_tests {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         arm();
         {
-            let root = enter_ord("query", 3);
+            let root = open("query", None, Some(3), Parent::Current);
             let root_id = root.id().unwrap();
             {
                 let mut child = enter_key("resolve.curve", 0xfeed);

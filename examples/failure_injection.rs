@@ -11,10 +11,7 @@ use ckpt_workflows::prelude::*;
 use failsim::{montecarlo_none_model, montecarlo_segments_model};
 
 fn main() {
-    let runs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000);
+    let runs: usize = ckpt_bench::positional_or("runs", 2000);
     let bw = 1e8;
     let mut w = pegasus::generate(WorkflowClass::Genome, 300, 11);
     pegasus::ccr::scale_to_ccr(&mut w, 1e-3, bw);

@@ -13,10 +13,7 @@ use ckpt_workflows::prelude::*;
 use pegasus::ccr::{ccr_grid, scale_to_ccr};
 
 fn main() {
-    let pfail: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.001);
+    let pfail: f64 = ckpt_bench::positional_or("pfail", 0.001);
     let bw = 1e8;
     let evaluator = PathApprox::default();
     println!("Montage, 300 tasks, 18 processors, pfail = {pfail}\n");

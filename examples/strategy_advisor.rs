@@ -10,24 +10,17 @@
 //!     [--class ligo] [--tasks 300] [--procs 35] [--pfail 0.001] [--ccr 0.1]
 //! ```
 
+use ckpt_bench::Args;
 use ckpt_workflows::prelude::*;
 use pegasus::ccr::scale_to_ccr;
 
-fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == key)
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let class: WorkflowClass = arg("--class", "ligo".to_owned()).parse().expect("class");
-    let tasks: usize = arg("--tasks", 300);
-    let procs: usize = arg("--procs", 35);
-    let pfail: f64 = arg("--pfail", 0.001);
-    let ccr: f64 = arg("--ccr", 0.1);
+    let args = Args::parse("class tasks procs pfail ccr");
+    let class = args.get_or("class", WorkflowClass::Ligo);
+    let tasks: usize = args.get_or("tasks", 300);
+    let procs: usize = args.get_or("procs", 35);
+    let pfail: f64 = args.get_or("pfail", 0.001);
+    let ccr: f64 = args.get_or("ccr", 0.1);
     let bw = 1e8;
 
     let mut w = pegasus::generate(class, tasks, 42);
