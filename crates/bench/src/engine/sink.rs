@@ -3,7 +3,9 @@
 //! The old harness collected every CSV line into a `Vec<String>` and
 //! wrote the file at the end; the engine instead streams each row the
 //! moment its canonical predecessor has been emitted, so partial results
-//! survive interruption and memory stays flat on large grids.
+//! survive interruption and memory stays flat on large grids. The file
+//! sink flushes the header and every row as it writes them: a run killed
+//! mid-grid leaves every row it released on disk.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -54,6 +56,7 @@ impl RowSink for CsvFileSink {
         }
         let mut w = BufWriter::new(File::create(&self.path)?);
         writeln!(w, "{header}")?;
+        w.flush()?;
         self.writer = Some(w);
         Ok(())
     }
@@ -61,6 +64,7 @@ impl RowSink for CsvFileSink {
     fn row(&mut self, line: &str) -> std::io::Result<()> {
         let w = self.writer.as_mut().expect("row() before begin()");
         writeln!(w, "{line}")?;
+        w.flush()?;
         self.rows += 1;
         Ok(())
     }
@@ -139,6 +143,22 @@ mod tests {
         sink.finish().unwrap();
         assert_eq!(sink.rows_written(), 2);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n3,4\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn csv_file_sink_keeps_written_rows_without_finish() {
+        // A run killed mid-grid never reaches `finish()`: the rows it
+        // released must already be in the file.
+        let dir = std::env::temp_dir().join("ckpt_engine_sink_unfinished");
+        let path = dir.join("out.csv");
+        let mut sink = CsvFileSink::new(&path);
+        sink.begin("a,b").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n");
+        sink.row("1,2").unwrap();
+        sink.row("3,4").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n3,4\n");
+        drop(sink);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -29,7 +29,6 @@ pub mod engine;
 pub mod scenarios;
 pub mod summary;
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use ckpt_core::{
@@ -181,19 +180,6 @@ pub fn figure_csv(r: &FigureRow) -> String {
     )
 }
 
-/// Writes rows to `path`, creating parent directories.
-pub fn write_csv(path: &Path, header: &str, rows: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = String::with_capacity(rows.len() * 80 + header.len() + 1);
-    writeln!(out, "{header}").unwrap();
-    for r in rows {
-        writeln!(out, "{r}").unwrap();
-    }
-    std::fs::write(path, out)
-}
-
 /// A workflow instance pinned to a CCR (shared by `accuracy`/`validate`).
 pub fn instance(class: WorkflowClass, size: usize, ccr: f64, seed: u64) -> Workflow {
     let mut w = pegasus::generate(class, size, seed);
@@ -229,8 +215,8 @@ pub struct Args {
 impl Args {
     /// Parses `std::env::args()` (skipping the binary name) against
     /// `known`, the space-separated names of the flags the binary reads:
-    /// any other flag, a word that is not a flag's value, or a flag
-    /// without a value is a [`usage_error`].
+    /// any other flag, a word that is not a flag's value, a flag
+    /// without a value, or a flag given twice is a [`usage_error`].
     pub fn parse(known: &str) -> Self {
         Args::from_argv(std::env::args().skip(1), known).unwrap_or_else(|e| usage_error(&e))
     }
@@ -244,6 +230,9 @@ impl Args {
                 .ok_or_else(|| format!("unexpected argument {word:?}"))?;
             if !known.split_whitespace().any(|k| k == key) {
                 return Err(format!("unknown flag --{key}"));
+            }
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(format!("--{key} given more than once"));
             }
             let value = argv
                 .next_if(|v| !v.starts_with("--"))
@@ -534,6 +523,18 @@ mod tests {
         assert_eq!(
             argv(&["--runs", "4", "--bogus", "7"]).err(),
             Some("unknown flag --bogus".to_owned())
+        );
+    }
+
+    #[test]
+    fn args_reject_a_repeated_flag() {
+        assert_eq!(
+            argv(&["--runs", "10", "--out", "dir", "--runs", "20"]).err(),
+            Some("--runs given more than once".to_owned())
+        );
+        assert_eq!(
+            argv(&["--runs", "10", "--runs", "10"]).err(),
+            Some("--runs given more than once".to_owned())
         );
     }
 

@@ -1,7 +1,8 @@
 //! Smoke tests for the experiment harness: tiny grids must run, emit
 //! well-formed CSV, and cover the extension class.
 
-use ckpt_bench::{figure_cell, figure_csv, figure_grid, write_csv, FIGURE_HEADER};
+use ckpt_bench::engine::sink::{CsvFileSink, RowSink};
+use ckpt_bench::{figure_cell, figure_csv, figure_grid, FIGURE_HEADER};
 use pegasus::WorkflowClass;
 
 #[test]
@@ -30,7 +31,10 @@ fn csv_writer_roundtrip() {
     let dir = std::env::temp_dir().join("ckpt_bench_smoke");
     let path = dir.join("probe.csv");
     let r = figure_cell(WorkflowClass::Genome, 50, 3, 0.001, 1e-3, 1, 1);
-    write_csv(&path, FIGURE_HEADER, &[figure_csv(&r)]).unwrap();
+    let mut sink = CsvFileSink::new(&path);
+    sink.begin(FIGURE_HEADER).unwrap();
+    sink.row(&figure_csv(&r)).unwrap();
+    sink.finish().unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines = text.lines();
     assert_eq!(lines.next(), Some(FIGURE_HEADER));

@@ -16,10 +16,17 @@
 //!
 //! ## Complexity
 //!
-//! The general DP is quadratic in the superchain length:
-//! [`DpScratch`]'s incremental sweep builds the dense `base(i, j)` table
-//! in `O(n·(E + n))` and the minimization scans `O(n²)` candidate
-//! splits. Long chains (`n ≥` [`KERNEL_MIN_LEN`]) first attempt the
+//! The general DP is quadratic in the superchain length, and comes in
+//! two halves. The **fill** ([`fill_segment_table`]) builds the
+//! `n(n+1)/2`-cell `base(i, j)` table with an incremental sweep in
+//! `O(n·(E + n))`; it reads the workflow, the bandwidth and the chain,
+//! never the failure model. The **minimization**
+//! ([`minimize_segment_table`]) scans the `O(n²)` candidate splits of
+//! a given table; it is the only half that reads λ. The one-shot path
+//! ([`optimal_checkpoints_exact_quadratic`]) runs both in a row on the
+//! caller's [`DpScratch`]; a caller that keeps the tables of a
+//! schedule ([`SegmentTables`]) re-runs only the minimization when the
+//! model drifts. Long chains (`n ≥` [`KERNEL_MIN_LEN`]) first attempt the
 //! subquadratic **candidate-queue kernel** — `O(n log n)` cost probes
 //! and `O(n)` memory, never building the dense table — which applies
 //! when three preconditions hold:
@@ -44,6 +51,7 @@ use mspg::{Dag, FileId, TaskId};
 
 use crate::budget::Budget;
 use crate::failure_model::{FailureModel, RestartCurve};
+use crate::schedule::Superchain;
 
 /// Cost context: the workflow, the processor failure model, and the
 /// stable storage bandwidth — plus, for non-memoryless models, an
@@ -416,10 +424,12 @@ pub fn optimal_checkpoints_tuned(
 }
 
 /// The exact `O(n²)` DP — the historical path whose arithmetic every
-/// experiment CSV pins bit-for-bit. Production code reaches it through
-/// [`optimal_checkpoints_reusing`], which dispatches here whenever the
-/// kernel's gate rejects the chain; it is public so the equivalence
-/// tests can compare the kernel against it directly.
+/// experiment CSV pins bit-for-bit: [`fill_segment_table`] followed by
+/// [`minimize_segment_table`] on the scratch's own table. Production
+/// code reaches it through [`optimal_checkpoints_reusing`], which
+/// dispatches here whenever the kernel's gate rejects the chain; it is
+/// public so the equivalence tests can compare the kernel against it
+/// directly.
 #[doc(hidden)]
 pub fn optimal_checkpoints_exact_quadratic(
     ctx: &CostCtx<'_>,
@@ -428,32 +438,236 @@ pub fn optimal_checkpoints_exact_quadratic(
 ) -> f64 {
     let n = chain.len();
     assert!(n > 0, "empty superchain");
-    scratch.fill_segment_bases(ctx, chain);
+    let cells = segment_table_len(n);
+    let mut base = std::mem::take(&mut scratch.base);
+    grow(&mut base, cells, 0.0);
+    fill_segment_table(ctx.dag, ctx.bandwidth, chain, &mut base[..cells], scratch);
+    let expected_time = minimize_segment_table(ctx, &base[..cells], n, scratch);
+    scratch.base = base;
+    expected_time
+}
+
+/// Cells of a chain's segment table: the `n(n+1)/2` spans `base(i, j)`,
+/// `i ≤ j`, that [`minimize_segment_table`] reads.
+pub fn segment_table_len(n: usize) -> usize {
+    n * (n + 1) / 2
+}
+
+/// The λ-free half of the exact DP: fills `table` with the failure-free
+/// span `R + W + C` of every segment `chain[i..=j]`, row by row (`i`
+/// ascending, then `j` from `i` up — the packed upper triangle, so row
+/// `i` starts at cell `i·n − i(i−1)/2`). Reads only the workflow, the
+/// bandwidth and the chain; `scratch` lends its sweep stamps and
+/// carries no data between calls.
+///
+/// The sweep is incremental, `O(n·(E+n))`: for each start `i`, extend
+/// `j` rightward maintaining R/W/C with per-file counters, writing one
+/// cell per step. Bit-identical arithmetic to the historical per-call
+/// `SegmentTable`; only the buffer lifetimes and the table's layout
+/// changed.
+///
+/// # Panics
+/// Panics unless `table.len()` is [`segment_table_len`]`(chain.len())`.
+pub fn fill_segment_table(
+    dag: &Dag,
+    bandwidth: f64,
+    chain: &[TaskId],
+    table: &mut [f64],
+    scratch: &mut DpScratch,
+) {
+    assert_eq!(
+        table.len(),
+        segment_table_len(chain.len()),
+        "segment table size"
+    );
+    let n = chain.len();
+    let nf = dag.n_files();
+    grow(&mut scratch.pos, dag.n_tasks(), usize::MAX);
+    grow(&mut scratch.stamp, nf, 0);
+    grow(&mut scratch.read_stamp, nf, 0);
+    grow(&mut scratch.outside_consumers, nf, 0);
+    // Stamps are compared against `mark0 + i`; advancing the mark
+    // base by `n` per fill is an O(1) clear of both stamp arrays.
+    if scratch.next_mark > u64::MAX - (n as u64 + 1) {
+        scratch.stamp.fill(0);
+        scratch.read_stamp.fill(0);
+        scratch.next_mark = 1;
+    }
+    let mark0 = scratch.next_mark.max(1);
+    scratch.next_mark = mark0 + n as u64;
+    for (k, &t) in chain.iter().enumerate() {
+        scratch.pos[t.index()] = k;
+    }
+    let pos = &scratch.pos;
+    let (stamp, read_stamp) = (&mut scratch.stamp, &mut scratch.read_stamp);
+    let outside_consumers = &mut scratch.outside_consumers;
+    let mut cell = 0;
+    for i in 0..n {
+        let mark = mark0 + i as u64;
+        let mut r_bytes = 0.0f64;
+        let mut w = 0.0f64;
+        let mut c_bytes = 0.0f64;
+        for &t in &chain[i..] {
+            w += dag.weight(t);
+            // External inputs: producer outside [i..=j]. Producers
+            // precede consumers, so "outside" is fixed for fixed i.
+            for &(u, f) in dag.preds(t) {
+                let fp = f.index();
+                let u_inside = pos[u.index()] != usize::MAX && pos[u.index()] >= i;
+                if u_inside {
+                    // A producer inside the segment: this consumer
+                    // leaves the file's outside-consumer set.
+                    if stamp[fp] == mark && outside_consumers[fp] > 0 {
+                        outside_consumers[fp] -= 1;
+                        if outside_consumers[fp] == 0 {
+                            c_bytes -= dag.file(f).size;
+                        }
+                    }
+                } else if read_stamp[fp] != mark {
+                    read_stamp[fp] = mark;
+                    r_bytes += dag.file(f).size;
+                }
+            }
+            // Workflow inputs and transitive reads (GSPG support).
+            for &f in dag.input_files(t) {
+                let fp = f.index();
+                let u_inside = dag
+                    .producer(f)
+                    .is_some_and(|u| pos[u.index()] != usize::MAX && pos[u.index()] >= i);
+                if u_inside {
+                    if stamp[fp] == mark && outside_consumers[fp] > 0 {
+                        outside_consumers[fp] -= 1;
+                        if outside_consumers[fp] == 0 {
+                            c_bytes -= dag.file(f).size;
+                        }
+                    }
+                } else if read_stamp[fp] != mark {
+                    read_stamp[fp] = mark;
+                    r_bytes += dag.file(f).size;
+                }
+            }
+            // Outputs: initially every consumer is outside (consumers
+            // are topologically after the producer).
+            for &f in dag.output_files(t) {
+                let fp = f.index();
+                let consumers = dag.consumers(f).len();
+                stamp[fp] = mark;
+                outside_consumers[fp] = consumers;
+                if consumers > 0 {
+                    c_bytes += dag.file(f).size;
+                }
+            }
+            table[cell] = (r_bytes + c_bytes) / bandwidth + w;
+            cell += 1;
+        }
+    }
+    // Restore the position map for the next chain.
+    for &t in chain {
+        scratch.pos[t.index()] = usize::MAX;
+    }
+}
+
+/// The λ half of the exact DP: Algorithm 2's minimization of
+/// `ETime(j)` over the segment splits of an `n`-task chain whose
+/// segment spans `table` holds ([`fill_segment_table`]'s layout). The
+/// chosen positions are left in [`DpScratch::ckpt_after`]; the optimal
+/// expected time is returned. Polls the context's budget once per row.
+///
+/// # Panics
+/// Panics on an empty chain or unless `table.len()` is
+/// [`segment_table_len`]`(n)`.
+pub fn minimize_segment_table(
+    ctx: &CostCtx<'_>,
+    table: &[f64],
+    n: usize,
+    scratch: &mut DpScratch,
+) -> f64 {
+    assert!(n > 0, "empty superchain");
+    assert_eq!(table.len(), segment_table_len(n), "segment table size");
+    scratch.kernel_used = false;
     grow(&mut scratch.etime, n, 0.0);
     grow(&mut scratch.last, n, usize::MAX);
     grow(&mut scratch.ckpt, n, false);
     {
-        let DpScratch {
-            base, etime, last, ..
-        } = scratch;
+        let DpScratch { etime, last, .. } = scratch;
         for j in 0..n {
             // One budget poll per DP row: O(n) polls against O(n²)
             // work, cheap enough to never show in profiles yet tight
             // enough that a deadline abandons the sweep within one row.
             ctx.check_budget();
-            etime[j] = ctx.expected_segment_time(base[j]);
+            // Segment [0..=j] is cell j of row 0.
+            etime[j] = ctx.expected_segment_time(table[j]);
             last[j] = usize::MAX;
+            // Segment [i+1..=j] walks down column j: row i+1 starts
+            // n − i cells after row i, and is one cell shorter.
+            let mut at = n + j - 1;
             for i in 0..j {
-                let cand = etime[i] + ctx.expected_segment_time(base[(i + 1) * n + j]);
+                let cand = etime[i] + ctx.expected_segment_time(table[at]);
                 if cand < etime[j] {
                     etime[j] = cand;
                     last[j] = i;
                 }
+                at += n - i - 2;
             }
         }
     }
     scratch.traceback(n);
     scratch.etime[n - 1]
+}
+
+/// The λ-free half of the exact DP for every superchain of a schedule:
+/// each chain shorter than [`KERNEL_MIN_LEN`] keeps its
+/// [`segment_table_len`] cells, which are all that
+/// [`minimize_segment_table`] reads. Longer chains store nothing: they
+/// keep the per-call path (the kernel, or the quadratic DP) of
+/// [`optimal_checkpoints_reusing`]. Its size is
+/// 8 bytes × Σ n(n+1)/2 over the stored chains.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SegmentTables {
+    /// Superchain `k`'s cells are `cells[starts[k]..starts[k + 1]]`
+    /// (empty for a chain that stores nothing).
+    starts: Vec<usize>,
+    cells: Vec<f64>,
+}
+
+impl SegmentTables {
+    /// Fills the table of every stored chain of `chains` at `bandwidth`.
+    pub fn build(dag: &Dag, bandwidth: f64, chains: &[Superchain]) -> Self {
+        let stored = |n: usize| if n < KERNEL_MIN_LEN { n } else { 0 };
+        let mut starts = Vec::with_capacity(chains.len() + 1);
+        let mut end = 0;
+        starts.push(end);
+        for sc in chains {
+            end += segment_table_len(stored(sc.tasks.len()));
+            starts.push(end);
+        }
+        let mut cells = vec![0.0; end];
+        let mut scratch = DpScratch::new();
+        for (k, sc) in chains.iter().enumerate() {
+            if stored(sc.tasks.len()) > 0 {
+                let table = &mut cells[starts[k]..starts[k + 1]];
+                fill_segment_table(dag, bandwidth, &sc.tasks, table, &mut scratch);
+            }
+        }
+        SegmentTables { starts, cells }
+    }
+
+    /// Superchain `k`'s table, or `None` when the chain stores nothing
+    /// (it is empty or at least [`KERNEL_MIN_LEN`] long).
+    pub fn table(&self, k: usize) -> Option<&[f64]> {
+        let cells = &self.cells[self.starts[k]..self.starts[k + 1]];
+        (!cells.is_empty()).then_some(cells)
+    }
+
+    /// Number of superchains the tables were built for.
+    pub fn n_chains(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Bytes the stored cells occupy.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.cells.as_slice())
+    }
 }
 
 /// Whether [`CostCtx::expected_segment_time`] is convex in the span for
@@ -676,13 +890,14 @@ fn grow<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
 }
 
 /// Reusable buffers for the checkpoint DP ([`optimal_checkpoints_reusing`]):
-/// the dense `base(i, j)` segment table, the per-file sweep stamps, and
+/// the `base(i, j)` segment table, the per-file sweep stamps, and
 /// the DP's `etime`/`last`/`ckpt_after` arrays. One scratch amortizes
 /// every allocation across all superchains of a plan (and across plans),
 /// which is what makes the steady-state assess loop allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct DpScratch {
-    /// `base[i * n + j]` = `R + W + C` of segment `[i..=j]` (seconds).
+    /// The segment table of the one-shot path ([`fill_segment_table`]'s
+    /// packed layout).
     base: Vec<f64>,
     /// Position of each task within the current chain (`usize::MAX` =
     /// outside); entries are restored to `MAX` after each fill.
@@ -918,99 +1133,6 @@ impl DpScratch {
             false
         }
     }
-
-    /// Fills the dense `base(i, j)` table for `chain` with the
-    /// incremental `O(n·(E+n))` sweep: for each start `i`, extend `j`
-    /// rightward maintaining R/W/C with per-file counters. Bit-identical
-    /// arithmetic to the historical per-call `SegmentTable`; only the
-    /// buffer lifetimes changed.
-    fn fill_segment_bases(&mut self, ctx: &CostCtx<'_>, chain: &[TaskId]) {
-        let dag = ctx.dag;
-        let n = chain.len();
-        let nf = dag.n_files();
-        grow(&mut self.pos, dag.n_tasks(), usize::MAX);
-        grow(&mut self.base, n * n, 0.0);
-        grow(&mut self.stamp, nf, 0);
-        grow(&mut self.read_stamp, nf, 0);
-        grow(&mut self.outside_consumers, nf, 0);
-        // Stamps are compared against `mark0 + i`; advancing the mark
-        // base by `n` per fill is an O(1) clear of both stamp arrays.
-        if self.next_mark > u64::MAX - (n as u64 + 1) {
-            self.stamp.fill(0);
-            self.read_stamp.fill(0);
-            self.next_mark = 1;
-        }
-        let mark0 = self.next_mark.max(1);
-        self.next_mark = mark0 + n as u64;
-        for (k, &t) in chain.iter().enumerate() {
-            self.pos[t.index()] = k;
-        }
-        let pos = &self.pos;
-        let (stamp, read_stamp) = (&mut self.stamp, &mut self.read_stamp);
-        let outside_consumers = &mut self.outside_consumers;
-        for i in 0..n {
-            let mark = mark0 + i as u64;
-            let mut r_bytes = 0.0f64;
-            let mut w = 0.0f64;
-            let mut c_bytes = 0.0f64;
-            for (j, &t) in chain.iter().enumerate().skip(i) {
-                w += dag.weight(t);
-                // External inputs: producer outside [i..=j]. Producers
-                // precede consumers, so "outside" is fixed for fixed i.
-                for &(u, f) in dag.preds(t) {
-                    let fp = f.index();
-                    let u_inside = pos[u.index()] != usize::MAX && pos[u.index()] >= i;
-                    if u_inside {
-                        // A producer inside the segment: this consumer
-                        // leaves the file's outside-consumer set.
-                        if stamp[fp] == mark && outside_consumers[fp] > 0 {
-                            outside_consumers[fp] -= 1;
-                            if outside_consumers[fp] == 0 {
-                                c_bytes -= dag.file(f).size;
-                            }
-                        }
-                    } else if read_stamp[fp] != mark {
-                        read_stamp[fp] = mark;
-                        r_bytes += dag.file(f).size;
-                    }
-                }
-                // Workflow inputs and transitive reads (GSPG support).
-                for &f in dag.input_files(t) {
-                    let fp = f.index();
-                    let u_inside = dag
-                        .producer(f)
-                        .is_some_and(|u| pos[u.index()] != usize::MAX && pos[u.index()] >= i);
-                    if u_inside {
-                        if stamp[fp] == mark && outside_consumers[fp] > 0 {
-                            outside_consumers[fp] -= 1;
-                            if outside_consumers[fp] == 0 {
-                                c_bytes -= dag.file(f).size;
-                            }
-                        }
-                    } else if read_stamp[fp] != mark {
-                        read_stamp[fp] = mark;
-                        r_bytes += dag.file(f).size;
-                    }
-                }
-                // Outputs: initially every consumer is outside (consumers
-                // are topologically after the producer).
-                for &f in dag.output_files(t) {
-                    let fp = f.index();
-                    let consumers = dag.consumers(f).len();
-                    stamp[fp] = mark;
-                    outside_consumers[fp] = consumers;
-                    if consumers > 0 {
-                        c_bytes += dag.file(f).size;
-                    }
-                }
-                self.base[i * n + j] = (r_bytes + c_bytes) / ctx.bandwidth + w;
-            }
-        }
-        // Restore the position map for the next chain.
-        for &t in chain {
-            self.pos[t.index()] = usize::MAX;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1185,12 +1307,14 @@ mod tests {
         // between chains (stamps, positions, stale base cells).
         let mut scratch = DpScratch::new();
         for sc in &sched.superchains {
-            scratch.fill_segment_bases(&ctx, &sc.tasks);
             let n = sc.tasks.len();
+            let mut table = vec![f64::NAN; segment_table_len(n)];
+            fill_segment_table(&w.dag, ctx.bandwidth, &sc.tasks, &mut table, &mut scratch);
+            let mut cells = table.iter();
             for i in 0..n {
                 for j in i..n {
                     let direct = segment_cost(&ctx, &sc.tasks, i, j);
-                    let got = scratch.base[i * n + j];
+                    let got = *cells.next().expect("one cell per segment");
                     assert!(
                         (got - direct.base()).abs() < 1e-9 * direct.base().max(1.0),
                         "segment [{i},{j}]: table {got} vs direct {}",

@@ -75,8 +75,9 @@ pub mod stage;
 pub use allocate::{allocate, AllocateConfig};
 pub use budget::{Budget, Cancelled};
 pub use checkpoint_dp::{
-    optimal_checkpoints, optimal_checkpoints_reusing, segment_cost, segment_cost_reusing, CostCtx,
-    DpScratch, SegmentCost, SegmentCostScratch, KERNEL_MIN_LEN,
+    fill_segment_table, minimize_segment_table, optimal_checkpoints, optimal_checkpoints_reusing,
+    segment_cost, segment_cost_reusing, segment_table_len, CostCtx, DpScratch, SegmentCost,
+    SegmentCostScratch, SegmentTables, KERNEL_MIN_LEN,
 };
 pub use coalesce::{
     coalesce, coalesce_topology, CheckpointPlan, PlacementStats, Segment, SegmentGraph,
@@ -88,9 +89,9 @@ pub use fingerprint::{allocate_config_fp, model_fp, plan_fp, workflow_fp, Workfl
 pub use pfail::{lambda_from_pfail, pfail_from_lambda};
 pub use platform::Platform;
 pub use policy::{
-    placement_expected_time, plan_with_policy, plan_with_policy_threads, CheckpointPolicy,
-    CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy, GreedyCrossover, PolicyScratch,
-    RiskThreshold,
+    placement_expected_time, plan_on_tables, plan_with_policy, plan_with_policy_threads,
+    CheckpointPolicy, CkptAllPolicy, DalyPeriodic, DpOptimalPolicy, ExitOnlyPolicy,
+    GreedyCrossover, PolicyScratch, RiskThreshold,
 };
 pub use propmap::{propmap, PropMapResult};
 pub use schedule::{Schedule, Superchain};

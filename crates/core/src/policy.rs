@@ -40,8 +40,8 @@
 use mspg::TaskId;
 
 use crate::checkpoint_dp::{
-    optimal_checkpoints_reusing, segment_cost_reusing, CostCtx, DpScratch, IdSet,
-    SegmentCostScratch,
+    minimize_segment_table, optimal_checkpoints_reusing, segment_cost_reusing, CostCtx, DpScratch,
+    IdSet, SegmentCostScratch, SegmentTables,
 };
 use crate::coalesce::CheckpointPlan;
 use crate::failure_model::FailureModel;
@@ -105,27 +105,7 @@ pub fn plan_with_policy(
     policy: &dyn CheckpointPolicy,
     scratch: &mut PolicyScratch,
 ) -> CheckpointPlan {
-    let mut ckpt_after = vec![false; ctx.dag.n_tasks()];
-    let mut buf = std::mem::take(&mut scratch.buf);
-    for sc in &schedule.superchains {
-        // Per-superchain cancellation point; the DP inside `place` also
-        // polls per row, so a deadline aborts within one row either way.
-        ctx.check_budget();
-        let n = sc.tasks.len();
-        buf.clear();
-        buf.resize(n, false);
-        policy.place(ctx, &sc.tasks, scratch, &mut buf);
-        assert!(
-            n == 0 || buf[n - 1],
-            "policy {} left a superchain without a final checkpoint",
-            policy.name()
-        );
-        for (k, &t) in sc.tasks.iter().enumerate() {
-            ckpt_after[t.index()] = buf[k];
-        }
-    }
-    scratch.buf = buf;
-    CheckpointPlan { ckpt_after }
+    plan_with_policy_threads(ctx, schedule, policy, scratch, 1)
 }
 
 /// [`plan_with_policy`] with a thread budget: superchains are placed on
@@ -136,8 +116,8 @@ pub fn plan_with_policy(
 /// pure function of `(ctx, chain)` (the trait's purity contract), the
 /// plan is **bit-identical for every thread budget**; `threads` is a
 /// pure speed knob. `threads ≤ 1` (or a schedule with at most one
-/// superchain) runs the exact serial loop of [`plan_with_policy`] on
-/// the caller's scratch, spawning nothing.
+/// superchain) runs a serial loop on the caller's scratch, spawning
+/// nothing.
 ///
 /// # Panics
 /// Panics if the policy violates its contract and leaves a superchain
@@ -149,35 +129,115 @@ pub fn plan_with_policy_threads(
     scratch: &mut PolicyScratch,
     threads: usize,
 ) -> CheckpointPlan {
-    let n_chains = schedule.superchains.len();
-    if n_chains <= 1 || seedmix::resolve_threads(threads) <= 1 {
-        return plan_with_policy(ctx, schedule, policy, scratch);
-    }
-    let placements: Vec<Vec<bool>> = seedmix::parallel_slots_with(
-        n_chains,
-        threads,
-        1,
-        PolicyScratch::new,
-        |worker_scratch, i| {
-            // Workers poll per claimed chain; `parallel_slots_with`
-            // re-raises the `Cancelled` unwind with its payload intact.
-            ctx.check_budget();
-            let sc = &schedule.superchains[i];
-            let mut buf = vec![false; sc.tasks.len()];
-            policy.place(ctx, &sc.tasks, worker_scratch, &mut buf);
-            buf
-        },
+    let place = |k: usize, scratch: &mut PolicyScratch, out: &mut [bool]| {
+        policy.place(ctx, &schedule.superchains[k].tasks, scratch, out)
+    };
+    plan_chains(ctx, schedule, policy.name(), scratch, threads, &place)
+}
+
+/// [`DpOptimalPolicy`]'s plan, minimized on stored segment tables: each
+/// chain with a table in `tables` runs only
+/// [`minimize_segment_table`], and every other chain takes
+/// [`DpOptimalPolicy::place`]'s per-call path. Bit-identical to
+/// [`plan_with_policy_threads`] with [`DpOptimalPolicy`] for every
+/// thread budget, because a stored chain is one the per-call path would
+/// run the same fill and minimization on.
+///
+/// # Panics
+/// Panics unless `tables` was built for `schedule`'s superchains.
+pub fn plan_on_tables(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    tables: &SegmentTables,
+    scratch: &mut PolicyScratch,
+    threads: usize,
+) -> CheckpointPlan {
+    assert_eq!(
+        tables.n_chains(),
+        schedule.superchains.len(),
+        "segment tables built for another schedule"
     );
+    let place = |k: usize, scratch: &mut PolicyScratch, out: &mut [bool]| {
+        let chain = &schedule.superchains[k].tasks;
+        match tables.table(k) {
+            Some(table) => {
+                minimize_segment_table(ctx, table, chain.len(), &mut scratch.dp);
+                out.copy_from_slice(scratch.dp.ckpt_after());
+            }
+            None => DpOptimalPolicy.place(ctx, chain, scratch, out),
+        }
+    };
+    plan_chains(
+        ctx,
+        schedule,
+        DpOptimalPolicy.name(),
+        scratch,
+        threads,
+        &place,
+    )
+}
+
+/// The superchain driver of every plan: `place(k, scratch, out)` fills
+/// superchain `k`'s decisions, serially on the caller's scratch or on a
+/// deterministic work-queue (see [`plan_with_policy_threads`]), and the
+/// decisions are scattered into the per-task plan in canonical
+/// superchain order. The budget is polled once per chain.
+///
+/// # Panics
+/// Panics if a superchain is left without a final checkpoint (`name`
+/// labels the message).
+fn plan_chains(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    name: &str,
+    scratch: &mut PolicyScratch,
+    threads: usize,
+    place: &(dyn Fn(usize, &mut PolicyScratch, &mut [bool]) + Sync),
+) -> CheckpointPlan {
     let mut ckpt_after = vec![false; ctx.dag.n_tasks()];
-    for (sc, buf) in schedule.superchains.iter().zip(&placements) {
-        let n = sc.tasks.len();
+    let mut scatter = |k: usize, buf: &[bool]| {
+        let tasks = &schedule.superchains[k].tasks;
+        let n = tasks.len();
         assert!(
             n == 0 || buf[n - 1],
-            "policy {} left a superchain without a final checkpoint",
-            policy.name()
+            "policy {name} left a superchain without a final checkpoint"
         );
-        for (k, &t) in sc.tasks.iter().enumerate() {
-            ckpt_after[t.index()] = buf[k];
+        for (&t, &ck) in tasks.iter().zip(buf) {
+            ckpt_after[t.index()] = ck;
+        }
+    };
+    let n_chains = schedule.superchains.len();
+    if n_chains <= 1 || seedmix::resolve_threads(threads) <= 1 {
+        let mut buf = std::mem::take(&mut scratch.buf);
+        for (k, sc) in schedule.superchains.iter().enumerate() {
+            // Per-superchain cancellation point; the DP inside `place`
+            // also polls per row, so a deadline aborts within one row
+            // either way.
+            ctx.check_budget();
+            buf.clear();
+            buf.resize(sc.tasks.len(), false);
+            place(k, scratch, &mut buf);
+            scatter(k, &buf);
+        }
+        scratch.buf = buf;
+    } else {
+        let placements: Vec<Vec<bool>> = seedmix::parallel_slots_with(
+            n_chains,
+            threads,
+            1,
+            PolicyScratch::new,
+            |worker_scratch, k| {
+                // Workers poll per claimed chain; `parallel_slots_with`
+                // re-raises the `Cancelled` unwind with its payload
+                // intact.
+                ctx.check_budget();
+                let mut buf = vec![false; schedule.superchains[k].tasks.len()];
+                place(k, worker_scratch, &mut buf);
+                buf
+            },
+        );
+        for (k, buf) in placements.iter().enumerate() {
+            scatter(k, buf);
         }
     }
     CheckpointPlan { ckpt_after }

@@ -13,16 +13,22 @@
 //! The stage graph (downstream depends on upstream):
 //!
 //! ```text
-//! Generate ──► Schedule ──────────────► Placement ──► SegmentGraph ──► EvalAnalytic
-//!     │            │                        ▲   ▲     (topology)       EvalMc
-//!     └────────────┼──► Curve ──────────────┘   │                        ▲
-//!                  └────────(model, platform)───┴────────────────────────┘
+//! Generate ──► Schedule ──► SegmentCosts ──► Placement ──► SegmentGraph ──► EvalAnalytic
+//!     │            │                          ▲   ▲       (topology)       EvalMc
+//!     └────────────┼──► Curve ────────────────┘   │                          ▲
+//!                  └──────────(model, platform)───┴──────────────────────────┘
 //! ```
 //!
-//! One fusion and one split are deliberate. *Superchain decomposition*
+//! One fusion and two splits are deliberate. *Superchain decomposition*
 //! is not a separate stage: Algorithm 1 interleaves proportional-mapping
 //! decomposition with per-sub-graph linearization, so the superchains
 //! are a field of the [`Schedule`] artifact (see [`crate::allocate`]).
+//! The exact *checkpoint DP* is split along what reads the failure
+//! model: its segment-cost tables read only the workflow, bandwidth and
+//! schedule ([`segment_costs_stage`]), and only its minimization reads
+//! λ ([`dp_placement_stage`]). [`placement_stage`] runs any policy from
+//! scratch — the DP's fill included — for one-shot callers; the service
+//! stores the tables so that a λ drift re-runs only the minimization.
 //! And the *segment graph* is split along what reads the failure model:
 //! its segments, costs and edges read only the workflow, bandwidth,
 //! schedule and plan ([`segment_topology_stage`]), while the two-state
@@ -44,12 +50,12 @@ use mspg::{Dag, Workflow};
 use probdag::Evaluator;
 
 use crate::allocate::{allocate, AllocateConfig};
-use crate::checkpoint_dp::CostCtx;
+use crate::checkpoint_dp::{CostCtx, SegmentTables};
 use crate::coalesce::{coalesce, coalesce_topology, CheckpointPlan, SegmentGraph};
 use crate::error::{require_positive, PlanError, PlanResult};
-use crate::failure_model::RestartCurve;
+use crate::failure_model::{FailureModel, RestartCurve};
 use crate::platform::Platform;
-use crate::policy::{plan_with_policy_threads, CheckpointPolicy, PolicyScratch};
+use crate::policy::{plan_on_tables, plan_with_policy_threads, CheckpointPolicy, PolicyScratch};
 use crate::schedule::Schedule;
 
 /// Names of the pipeline stages, in dependency order. Used by the
@@ -64,6 +70,8 @@ pub enum StageId {
     Schedule,
     /// RestartCurve tabulation for non-memoryless models.
     Curve,
+    /// The exact DP's model-free segment-cost tables.
+    SegmentCosts,
     /// Checkpoint placement (Algorithm 2 DP or any policy).
     Placement,
     /// §II-C coalescing into the 2-state probabilistic DAG.
@@ -76,10 +84,11 @@ pub enum StageId {
 
 impl StageId {
     /// All stages, dependency-ordered.
-    pub const ALL: [StageId; 7] = [
+    pub const ALL: [StageId; 8] = [
         StageId::Generate,
         StageId::Schedule,
         StageId::Curve,
+        StageId::SegmentCosts,
         StageId::Placement,
         StageId::SegmentGraph,
         StageId::EvalAnalytic,
@@ -115,6 +124,7 @@ const NAMES: [[&str; 3]; StageId::ALL.len()] = [
     ["generate", "stage.generate", "resolve.generate"],
     ["schedule", "stage.schedule", "resolve.schedule"],
     ["curve", "stage.curve", "resolve.curve"],
+    ["segment_costs", "stage.segment_costs", "resolve.segment_costs"],
     ["placement", "stage.placement", "resolve.placement"],
     ["segment_graph", "stage.segment_graph", "resolve.segment_graph"],
     ["eval_analytic", "stage.eval_analytic", "resolve.eval_analytic"],
@@ -172,7 +182,7 @@ pub fn traced<T>(stage: StageId, f: impl FnOnce() -> PlanResult<T>) -> PlanResul
 /// The `ckpt_stage_wall_seconds` histogram of `stage`, resolved once
 /// per process so [`traced`] never takes the registry lock.
 fn wall_histogram(stage: StageId) -> &'static obs::metrics::Histogram {
-    static HISTS: OnceLock<[obs::metrics::Histogram; 7]> = OnceLock::new();
+    static HISTS: OnceLock<[obs::metrics::Histogram; StageId::ALL.len()]> = OnceLock::new();
     let hists = HISTS.get_or_init(|| {
         StageId::ALL.map(|s| {
             obs::metrics::labeled_histogram_seconds("ckpt_stage_wall_seconds", "stage", s.name())
@@ -214,10 +224,18 @@ pub fn schedule_stage(
     })
 }
 
+/// Whether [`curve_stage`] reads anything beyond the model: `false` for
+/// memoryless or never-failing models, whose curve is `None` whatever
+/// the workflow and bandwidth.
+pub fn curve_reads_workflow(model: &FailureModel) -> bool {
+    !(model.is_memoryless() || model.never_fails())
+}
+
 /// **Curve stage**: the renewal [`RestartCurve`] backing every
 /// non-memoryless cost query — `None` for memoryless or never-failing
 /// platforms, which take closed-form paths. Pure in (failure model,
-/// workflow span statistics, bandwidth).
+/// workflow span statistics, bandwidth), and in nothing at all when
+/// [`curve_reads_workflow`] is `false`.
 ///
 /// The table covers every span the DP or coalescer can query on this
 /// workflow: from the smallest positive task weight (no segment's
@@ -229,7 +247,7 @@ pub fn curve_stage(dag: &Dag, platform: &Platform) -> PlanResult<Option<RestartC
     traced(StageId::Curve, || {
         require_positive("bandwidth", platform.bandwidth)?;
         inject(StageId::Curve)?;
-        if platform.model.is_memoryless() || platform.model.never_fails() {
+        if !curve_reads_workflow(&platform.model) {
             return Ok(None);
         }
         let b_hi = dag.total_weight() + 2.0 * dag.total_data_volume() / platform.bandwidth;
@@ -269,6 +287,40 @@ pub fn placement_stage(
         Ok(plan_with_policy_threads(
             ctx, schedule, policy, scratch, threads,
         ))
+    })
+}
+
+/// **Segment-costs stage**: the exact DP's λ-free half for every
+/// superchain of `schedule` ([`SegmentTables`]). Pure in (workflow
+/// weights and file sizes, bandwidth, schedule); the failure model is
+/// not an input, so a caller keying on those reuses one set of tables
+/// across model drifts and hands it to [`dp_placement_stage`].
+pub fn segment_costs_stage(
+    dag: &Dag,
+    bandwidth: f64,
+    schedule: &Schedule,
+) -> PlanResult<SegmentTables> {
+    traced(StageId::SegmentCosts, || {
+        inject(StageId::SegmentCosts)?;
+        Ok(SegmentTables::build(dag, bandwidth, &schedule.superchains))
+    })
+}
+
+/// **Placement stage** of [`crate::policy::DpOptimalPolicy`] on stored
+/// segment tables: only the minimization runs for a chain whose table
+/// `tables` holds ([`crate::policy::plan_on_tables`]). The plan is
+/// bit-identical to [`placement_stage`]'s with the same policy; the
+/// Placement span and fault site are the same too.
+pub fn dp_placement_stage(
+    ctx: &CostCtx<'_>,
+    schedule: &Schedule,
+    tables: &SegmentTables,
+    scratch: &mut PolicyScratch,
+    threads: usize,
+) -> PlanResult<CheckpointPlan> {
+    traced(StageId::Placement, || {
+        inject(StageId::Placement)?;
+        Ok(plan_on_tables(ctx, schedule, tables, scratch, threads))
     })
 }
 
@@ -377,6 +429,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan, pipe.plan(&DpOptimalPolicy));
+        // The service's route: stored tables, then the minimization.
+        let tables = segment_costs_stage(&w.dag, platform.bandwidth, &schedule).unwrap();
+        let stored =
+            dp_placement_stage(&ctx, &schedule, &tables, &mut PolicyScratch::new(), 1).unwrap();
+        assert_eq!(plan, stored);
         let sg = segment_graph_stage(&ctx, &schedule, &plan).unwrap();
         let em = evaluate_stage(&sg, &PathApprox::default()).unwrap();
         let assessed = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
@@ -385,6 +442,39 @@ mod tests {
         let topo = segment_topology_stage(&w.dag, platform.bandwidth, &schedule, &plan).unwrap();
         let em = evaluate_stage(&topo.with_model(&ctx), &PathApprox::default()).unwrap();
         assert_eq!(em.to_bits(), assessed.expected_makespan.to_bits());
+    }
+
+    #[test]
+    fn segment_costs_stay_small_on_paper_workflows() {
+        // DESIGN §10's bound: 8 bytes × Σ n(n+1)/2 over the chains
+        // shorter than KERNEL_MIN_LEN, at most 64 KiB at the paper's
+        // sizes and processor counts.
+        for class in WorkflowClass::ALL_EXTENDED {
+            for size in [50, 300, 1000] {
+                let w = generate(class, size, 9);
+                for &procs in Platform::paper_proc_counts(size) {
+                    let cfg = AllocateConfig::default();
+                    let schedule = schedule_stage(&w, procs, &cfg).unwrap();
+                    let tables = segment_costs_stage(&w.dag, 1e8, &schedule).unwrap();
+                    let cells: usize = schedule
+                        .superchains
+                        .iter()
+                        .map(|sc| crate::checkpoint_dp::segment_table_len(sc.tasks.len()))
+                        .sum();
+                    assert_eq!(tables.bytes(), 8 * cells, "{class}-{size} on {procs}");
+                    assert!(
+                        tables.bytes() <= 64 << 10,
+                        "{class}-{size} on {procs}: {} bytes",
+                        tables.bytes()
+                    );
+                }
+            }
+        }
+        // The first-visit instance's tables: 7.6 KiB.
+        let w = generate(WorkflowClass::Montage, 300, 9);
+        let schedule = schedule_stage(&w, 18, &AllocateConfig::default()).unwrap();
+        let tables = segment_costs_stage(&w.dag, 1e8, &schedule).unwrap();
+        assert_eq!(tables.bytes(), 7736);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!           | content fingerprint                        (provided)
 //! schedule  = (wf.structure [, wf.sizes iff MinVolume], procs, alloc)
 //! curve     = (model, wf.structure, wf.sizes, bw)
+//!           | ()   — memoryless and never-failing models: no curve
+//! costs     = (wf.combined, bw, schedule)   — the exact DP's
+//!             model-free segment-cost tables
 //! placement = (wf.combined, model, bw, schedule, policy)
 //! graph     = (wf.combined, bw, schedule, plan)   — the model-free
 //!             segment topology: R/W/C read weights and file sizes
@@ -35,6 +38,12 @@
 //! per model. The eval and Monte Carlo resolutions write the model's
 //! two-state laws on the topology (`SegmentGraph::with_model`) inside
 //! their own closures.
+//!
+//! Only the DP placement reads the costs: a `DpOptimal` placement
+//! resolves them inside its own closure and minimizes each superchain
+//! on its stored table (`ckpt_core::stage::dp_placement_stage`), so a
+//! first-visit λ runs the minimization alone. Every other policy places
+//! from scratch (`placement_stage`) and never resolves the costs.
 //!
 //! Equal key ⇒ equal inputs ⇒ (stages are pure) equal artifact, so a
 //! cache hit is always sound and every answer is byte-identical to a
@@ -75,7 +84,8 @@ use ckpt_core::policy::{
     GreedyCrossover, PolicyScratch, RiskThreshold,
 };
 use ckpt_core::stage::{
-    curve_stage, inject, placement_stage, schedule_stage, segment_topology_stage, traced, StageId,
+    curve_reads_workflow, curve_stage, dp_placement_stage, inject, placement_stage, schedule_stage,
+    segment_costs_stage, segment_topology_stage, traced, StageId,
 };
 use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
 use failsim::{montecarlo_segments_model_abortable, McStats, SimConfig};
@@ -95,6 +105,7 @@ mod tag {
     pub const GENERATE: u64 = 0x5356_4745; // "SVGE"
     pub const SCHEDULE: u64 = 0x5356_5343; // "SVSC"
     pub const CURVE: u64 = 0x5356_4356; // "SVCV"
+    pub const COSTS: u64 = 0x5356_4353; // "SVCS"
     pub const PLACEMENT: u64 = 0x5356_504c; // "SVPL"
     pub const GRAPH: u64 = 0x5356_4752; // "SVGR"
     pub const EVAL: u64 = 0x5356_4556; // "SVEV"
@@ -756,8 +767,13 @@ impl Session {
         )?;
         let schedule = &scheduled.schedule;
 
-        // Curve: model + span statistics (weights, sizes, bandwidth).
-        let curve_key = compose(tag::CURVE, &[mfp, fp.structure, fp.file_sizes, bw_bits]);
+        // Curve: model + span statistics (weights, sizes, bandwidth), or
+        // nothing for the models that need no curve.
+        let curve_key = if curve_reads_workflow(&model) {
+            compose(tag::CURVE, &[mfp, fp.structure, fp.file_sizes, bw_bits])
+        } else {
+            compose(tag::CURVE, &[])
+        };
         let curve = self.memo_stage(StageId::Curve, &self.store.curves, curve_key, || {
             curve_stage(
                 &w.dag,
@@ -778,15 +794,21 @@ impl Session {
             tag::PLACEMENT,
             &[fp.combined(), mfp, bw_bits, sched_key, inputs.policy.fp()],
         );
+        // The DP minimizes on the segment-cost tables, which read what
+        // the topology reads but the plan.
+        let costs_key = compose(tag::COSTS, &[fp.combined(), bw_bits, sched_key]);
         let plan = self.memo_stage(StageId::Placement, &self.store.plans, place_key, || {
-            let policy = inputs.policy.build();
-            let plan = placement_stage(
-                &ctx,
-                schedule,
-                policy.as_ref(),
-                &mut PolicyScratch::new(),
-                self.plan_threads,
-            )?;
+            let scratch = &mut PolicyScratch::new();
+            let plan = if inputs.policy == PolicySpec::DpOptimal {
+                let tables =
+                    self.memo_stage(StageId::SegmentCosts, &self.store.costs, costs_key, || {
+                        segment_costs_stage(&w.dag, inputs.bandwidth, schedule)
+                    })?;
+                dp_placement_stage(&ctx, schedule, &tables, scratch, self.plan_threads)?
+            } else {
+                let policy = inputs.policy.build();
+                placement_stage(&ctx, schedule, policy.as_ref(), scratch, self.plan_threads)?
+            };
             let fp = plan_fp(&plan);
             Ok(PlanArtifact { plan, fp })
         })?;

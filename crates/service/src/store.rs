@@ -557,6 +557,10 @@ pub struct Store {
     pub schedules: Memo<ScheduleArtifact>,
     /// Renewal restart curves (`None` = memoryless/never-failing).
     pub curves: Memo<Option<ckpt_core::RestartCurve>>,
+    /// The exact DP's model-free segment-cost tables
+    /// (`ckpt_core::SegmentTables`): keyed on what the fill reads, so
+    /// every failure model's DP placement minimizes on one.
+    pub costs: Memo<ckpt_core::SegmentTables>,
     /// Checkpoint plans with their fingerprints.
     pub plans: Memo<PlanArtifact>,
     /// Model-free segment topologies (`ckpt_core::coalesce_topology`):
@@ -652,6 +656,7 @@ impl Store {
             workflows: Memo::bounded(capacity),
             schedules: Memo::bounded(capacity),
             curves: Memo::bounded(capacity),
+            costs: Memo::bounded(capacity),
             plans: Memo::bounded(capacity),
             graphs: Memo::bounded(capacity),
             evals: Memo::bounded(capacity),
@@ -666,6 +671,7 @@ impl Store {
             ("workflows", self.workflows.stats()),
             ("schedules", self.schedules.stats()),
             ("curves", self.curves.stats()),
+            ("costs", self.costs.stats()),
             ("plans", self.plans.stats()),
             ("graphs", self.graphs.stats()),
             ("evals", self.evals.stats()),
@@ -1079,6 +1085,7 @@ mod tests {
                 "workflows",
                 "schedules",
                 "curves",
+                "costs",
                 "plans",
                 "graphs",
                 "evals",

@@ -2,7 +2,9 @@
 //! caching decides *who* computes an artifact, never *what* it is —
 //! and batches must be invariant to the worker thread budget.
 
-use ckpt_core::{Pipeline, Platform};
+use std::sync::Arc;
+
+use ckpt_core::{DpOptimalPolicy, Pipeline, Platform};
 use ckpt_service::{
     Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
 };
@@ -170,5 +172,45 @@ fn baseline_answers_equal_the_one_shot_pipeline() {
         let mut inputs = montage_inputs(1e-3);
         inputs.policy = policy;
         assert_same(&Session::new(inputs).baseline(), &expected);
+    }
+    // A first-visit λ walk minimizes on the session's stored segment
+    // tables; under every model family its answers are the one-shot
+    // DP's, which fills its own tables per call.
+    let schedule = Arc::new(ckpt_core::allocate(&w, inputs.procs, &inputs.alloc));
+    let families = [
+        ModelSpec::Exponential { pfail: 1e-3 },
+        ModelSpec::Weibull {
+            shape: 2.0,
+            pfail: 1e-3,
+        },
+        ModelSpec::LogNormal {
+            sigma: 1.0,
+            pfail: 1e-3,
+        },
+    ];
+    for family in families {
+        let mut inputs = montage_inputs(1e-3);
+        inputs.model = family;
+        let session = Session::new(inputs.clone());
+        session.baseline();
+        for pfail in [1.5e-3, 7e-4, 3e-3, 2.2e-3, 4e-4] {
+            let answer = session.query(&WhatIf::SetPfail(pfail));
+            let model = family.with_pfail(pfail).build(w.dag.mean_weight());
+            let platform = Platform::with_model(inputs.procs, model, inputs.bandwidth);
+            let pipe = Pipeline::with_schedule(&w, platform, schedule.clone());
+            let a = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
+            let expected = Answer {
+                policy: a.policy,
+                expected_makespan: a.expected_makespan,
+                n_checkpoints: a.n_checkpoints,
+                n_segments: a.n_segments,
+                ckpt_files: a.ckpt_files,
+                ckpt_bytes: a.ckpt_bytes,
+                w_par: a.w_par,
+                mc: None,
+                degraded: false,
+            };
+            assert_same(&answer, &expected);
+        }
     }
 }

@@ -36,6 +36,7 @@ fn first_visit_executes_the_whole_graph() {
             StageId::Generate,
             StageId::Schedule,
             StageId::Curve,
+            StageId::SegmentCosts,
             StageId::Placement,
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
@@ -62,11 +63,13 @@ fn noop_reexecutes_zero_stages() {
 }
 
 #[test]
-fn lambda_drift_touches_only_curve_placement_graph_evaluate() {
+fn lambda_drift_touches_only_placement_graph_evaluate() {
     // The acceptance-bar case, on the full 300-task Montage instance:
-    // λ drift must leave the workflow and schedule untouched. This
-    // drift moves the placement, so the segment topology, which is
-    // keyed on the plan, re-runs with it.
+    // λ drift must leave the workflow and schedule untouched, and the
+    // exponential model's curve (it has none) and the DP's segment
+    // costs (they never read λ) with them: the placement only runs the
+    // DP's minimization. This drift moves the placement, so the segment
+    // topology, which is keyed on the plan, re-runs with it.
     let session = montage_session(300);
     let before = session.baseline();
     session.tracker().clear();
@@ -75,15 +78,20 @@ fn lambda_drift_touches_only_curve_placement_graph_evaluate() {
     assert_eq!(
         session.tracker().executed(),
         stages(&[
-            StageId::Curve,
             StageId::Placement,
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
         ])
     );
-    // Explicitly: the expensive upstream stages were *not* re-run.
-    assert_eq!(session.tracker().executed_count(StageId::Generate), 0);
-    assert_eq!(session.tracker().executed_count(StageId::Schedule), 0);
+    assert_eq!(
+        session.tracker().cached(),
+        stages(&[
+            StageId::Generate,
+            StageId::Schedule,
+            StageId::Curve,
+            StageId::SegmentCosts,
+        ])
+    );
 }
 
 #[test]
@@ -106,7 +114,12 @@ fn model_family_swap_behaves_like_lambda_drift() {
     );
     assert_eq!(
         session.tracker().cached(),
-        stages(&[StageId::Generate, StageId::Schedule, StageId::SegmentGraph])
+        stages(&[
+            StageId::Generate,
+            StageId::Schedule,
+            StageId::SegmentCosts,
+            StageId::SegmentGraph,
+        ])
     );
 }
 
@@ -124,16 +137,24 @@ fn a_drift_back_to_an_earlier_placement_reuses_its_topology() {
     assert_eq!(before.ckpt_bytes.to_bits(), back.ckpt_bytes.to_bits());
     assert_eq!(
         session.tracker().executed(),
-        stages(&[StageId::Curve, StageId::Placement, StageId::EvalAnalytic])
+        stages(&[StageId::Placement, StageId::EvalAnalytic])
     );
     assert_eq!(
         session.tracker().cached(),
-        stages(&[StageId::Generate, StageId::Schedule, StageId::SegmentGraph])
+        stages(&[
+            StageId::Generate,
+            StageId::Schedule,
+            StageId::Curve,
+            StageId::SegmentCosts,
+            StageId::SegmentGraph,
+        ])
     );
 }
 
 #[test]
 fn policy_swap_touches_only_placement_graph_evaluate() {
+    // Only the DP reads the segment costs: a swap to another policy
+    // places from scratch and does not resolve them at all.
     let session = montage_session(50);
     session.baseline();
     session.tracker().clear();
@@ -145,6 +166,10 @@ fn policy_swap_touches_only_placement_graph_evaluate() {
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
         ])
+    );
+    assert_eq!(
+        session.tracker().cached(),
+        stages(&[StageId::Generate, StageId::Schedule, StageId::Curve])
     );
 }
 
@@ -160,6 +185,7 @@ fn platform_rescale_reruns_schedule_but_not_curve() {
         session.tracker().executed(),
         stages(&[
             StageId::Schedule,
+            StageId::SegmentCosts,
             StageId::Placement,
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
@@ -173,6 +199,8 @@ fn bandwidth_rescale_leaves_the_schedule_cached() {
     // a CCR-pinned generated source would legitimately re-derive its
     // sizes), a storage upgrade re-prices I/O but never re-schedules:
     // structure-driven linearizers read neither sizes nor bandwidth.
+    // The exponential model has no curve to re-derive; the DP's
+    // segment costs read the bandwidth and re-run.
     let source = WorkflowSource::provided(pegasus::generate(WorkflowClass::Montage, 50, 9));
     let session = Session::new(Inputs::basic(
         source,
@@ -186,7 +214,7 @@ fn bandwidth_rescale_leaves_the_schedule_cached() {
     assert_eq!(
         session.tracker().executed(),
         stages(&[
-            StageId::Curve,
+            StageId::SegmentCosts,
             StageId::Placement,
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
@@ -204,12 +232,13 @@ fn workflow_edit_invalidates_everything_downstream() {
         weight: 1234.5,
     });
     // The edited workflow is provided (Generate has nothing to run),
-    // but every planning stage downstream re-executes.
+    // and every planning stage downstream re-executes but the
+    // exponential model's curve, which reads no workflow.
     assert_eq!(
         session.tracker().executed(),
         stages(&[
             StageId::Schedule,
-            StageId::Curve,
+            StageId::SegmentCosts,
             StageId::Placement,
             StageId::SegmentGraph,
             StageId::EvalAnalytic,
