@@ -177,7 +177,7 @@ pub fn plan_on_tables(
     )
 }
 
-/// The superchain driver of every plan: `place(k, scratch, out)` fills
+/// The superchain loop of every plan: `place(k, scratch, out)` fills
 /// superchain `k`'s decisions, serially on the caller's scratch or on a
 /// deterministic work-queue (see [`plan_with_policy_threads`]), and the
 /// decisions are scattered into the per-task plan in canonical
