@@ -3,16 +3,37 @@
 //! PathApprox ≪ Normal < Dodin ≪ MonteCarlo), PathApprox on Montage-300,
 //! and the coalescing that builds their input graphs.
 
-use ckpt_bench::{instance, pipeline_for};
+use ckpt_bench::BANDWIDTH;
 use ckpt_core::{
-    coalesce, coalesce_topology, CheckpointPolicy, CkptAllPolicy, CostCtx, DpOptimalPolicy,
+    coalesce, coalesce_topology, lambda_from_pfail, AllocateConfig, CheckpointPolicy,
+    CkptAllPolicy, CostCtx, DpOptimalPolicy, Pipeline, Platform,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
+use mspg::Workflow;
+use pegasus::ccr::scale_to_ccr;
+use pegasus::WorkflowClass;
 use probdag::{Dodin, Evaluator, MonteCarlo, NormalSculli, PathApprox};
 
+/// The `class`-300 instance on `seed`, rescaled to `ccr`.
+fn instance(class: WorkflowClass, ccr: f64, seed: u64) -> Workflow {
+    let mut w = pegasus::generate(class, 300, seed);
+    scale_to_ccr(&mut w, ccr, BANDWIDTH);
+    w
+}
+
+/// `w` scheduled on 18 processors at `pfail`.
+fn pipeline(w: &Workflow, pfail: f64, seed: u64) -> Pipeline<'_> {
+    let platform = Platform::new(18, lambda_from_pfail(pfail, w.dag.mean_weight()), BANDWIDTH);
+    let cfg = AllocateConfig {
+        seed,
+        ..Default::default()
+    };
+    Pipeline::new(w, platform, &cfg)
+}
+
 fn bench_evaluators(c: &mut Criterion) {
-    let w = instance(pegasus::WorkflowClass::Genome, 300, 1e-3, 42);
-    let pipe = pipeline_for(&w, 18, 0.01, 42);
+    let w = instance(WorkflowClass::Genome, 1e-3, 42);
+    let pipe = pipeline(&w, 0.01, 42);
     let sg = pipe.segment_graph(&CkptAllPolicy);
     let pdag = sg.pdag;
 
@@ -48,17 +69,15 @@ fn bench_pathapprox_montage(c: &mut Criterion) {
     // evaluator across iterations (the steady-state assess loop: arena,
     // heaps and bitsets at their high-water marks, no per-run
     // allocations); `fresh` constructs a new evaluator per run.
-    let w = instance(pegasus::WorkflowClass::Montage, 300, 1e-3, 42);
-    let pipe = pipeline_for(&w, 18, 0.01, 42);
+    let w = instance(WorkflowClass::Montage, 1e-3, 42);
+    let pipe = pipeline(&w, 0.01, 42);
     let sg = pipe.segment_graph(&CkptAllPolicy);
     let pdag = sg.pdag;
     // The what-if first visit's shape: the CkptSome graph of the
     // Montage-300 instance the service benchmark queries (seed 9, CCR
     // 0.05, 18 processors), at pfail 1e-3.
-    let w9 = instance(pegasus::WorkflowClass::Montage, 300, 0.05, 9);
-    let some = pipeline_for(&w9, 18, 1e-3, 9)
-        .segment_graph(&DpOptimalPolicy)
-        .pdag;
+    let w9 = instance(WorkflowClass::Montage, 0.05, 9);
+    let some = pipeline(&w9, 1e-3, 9).segment_graph(&DpOptimalPolicy).pdag;
 
     let mut group = c.benchmark_group("pathapprox-montage300-k256");
     let reused = PathApprox::default();
@@ -78,8 +97,8 @@ fn bench_coalesce_montage(c: &mut Criterion) {
     // from scratch, as a one-shot pipeline does; `with-model` re-models
     // a stored topology of the same plan, which is all a what-if
     // session runs when a λ drift keeps the placement.
-    let w = instance(pegasus::WorkflowClass::Montage, 300, 0.05, 9);
-    let pipe = pipeline_for(&w, 18, 1e-3, 9);
+    let w = instance(WorkflowClass::Montage, 0.05, 9);
+    let pipe = pipeline(&w, 1e-3, 9);
     let ctx = CostCtx::with_model(&w.dag, pipe.platform.model, pipe.platform.bandwidth);
     let mut group = c.benchmark_group("coalesce-montage300");
     let policies: [(&str, &dyn CheckpointPolicy); 2] =

@@ -2,14 +2,21 @@
 //! cost of the checkpointed renewal simulation and the CkptNone cascade
 //! engine).
 
-use ckpt_bench::{instance, pipeline_for};
-use ckpt_core::DpOptimalPolicy;
+use ckpt_bench::BANDWIDTH;
+use ckpt_core::{lambda_from_pfail, AllocateConfig, DpOptimalPolicy, Pipeline, Platform};
 use criterion::{criterion_group, criterion_main, Criterion};
 use failsim::{simulate_none, simulate_segments_model, ModelFailures};
+use pegasus::ccr::scale_to_ccr;
 
 fn bench_sim(c: &mut Criterion) {
-    let w = instance(pegasus::WorkflowClass::Genome, 300, 1e-3, 42);
-    let pipe = pipeline_for(&w, 18, 0.001, 42);
+    let mut w = pegasus::generate(pegasus::WorkflowClass::Genome, 300, 42);
+    scale_to_ccr(&mut w, 1e-3, BANDWIDTH);
+    let lambda = lambda_from_pfail(0.001, w.dag.mean_weight());
+    let cfg = AllocateConfig {
+        seed: 42,
+        ..Default::default()
+    };
+    let pipe = Pipeline::new(&w, Platform::new(18, lambda, BANDWIDTH), &cfg);
     let sg = pipe.segment_graph(&DpOptimalPolicy);
 
     let mut group = c.benchmark_group("failsim-genome300");

@@ -4,8 +4,8 @@
 //!
 //! The digest line is a pure function of the arguments: task count,
 //! superchain count, checkpoint count, an FNV-1a hash of the
-//! checkpoint-after bits, and the analytic expected makespan (exact
-//! bits). CI diffs it across `--plan-threads` budgets to pin the
+//! checkpoint-after bits, the analytic expected makespan (exact bits)
+//! and the schedule's failure-free parallel time `W_par` (exact bits). CI diffs it across `--plan-threads` budgets to pin the
 //! parallel-placement determinism guarantee; the stage walls (the
 //! `ckpt_stage_wall_seconds` histogram) quantify where generate,
 //! schedule, placement, coalescing and evaluation time goes at scale.
@@ -25,7 +25,8 @@ use ckpt_bench::engine::in_stage;
 use ckpt_bench::{Args, ObsOut, BANDWIDTH};
 use ckpt_core::stage::{schedule_stage, segment_graph_stage, wall_summary};
 use ckpt_core::{
-    lambda_from_pfail, AllocateConfig, CostCtx, DpOptimalPolicy, Pipeline, Platform, StageId,
+    lambda_from_pfail, AllocateConfig, CostCtx, DpOptimalPolicy, Pipeline, Platform,
+    ScheduleArtifact, StageId,
 };
 use mspg::linearize::Linearizer;
 use probdag::{Evaluator, PathApprox};
@@ -57,9 +58,10 @@ fn main() {
     };
     let schedule = schedule_stage(&w, procs, &cfg).expect("--procs must be at least 1");
     let n_chains = schedule.superchains.len();
+    let artifact = ScheduleArtifact::new(schedule, &w.dag);
     let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
     let platform = Platform::new(procs, lambda, BANDWIDTH);
-    let pipe = Pipeline::with_schedule(&w, platform, schedule).with_plan_threads(plan_threads);
+    let pipe = Pipeline::with_schedule(&w, platform, &artifact).with_plan_threads(plan_threads);
     let plan = pipe.plan(&DpOptimalPolicy);
     // Coalesce the computed plan rather than replanning through
     // `segment_graph`.
@@ -80,12 +82,13 @@ fn main() {
         .map(|em| format!(" em_bits={:016x} em={:.6e}", em.to_bits(), em))
         .unwrap_or_default();
     println!(
-        "tasks={} superchains={} checkpoints={} digest={:016x}{}",
+        "tasks={} superchains={} checkpoints={} digest={:016x}{} wpar_bits={:016x}",
         n,
         n_chains,
         plan.n_checkpoints(),
         h,
-        em_cols
+        em_cols,
+        artifact.w_par().to_bits()
     );
     eprintln!(
         "planscale: shape={shape} tasks={n} procs={procs} pfail={pfail} \

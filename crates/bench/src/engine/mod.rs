@@ -56,9 +56,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ckpt_core::stage::traced;
-use ckpt_core::{
-    lambda_from_pfail, AllocateConfig, FailureModel, Pipeline, Platform, Schedule, StageId,
-};
+use ckpt_core::{AllocateConfig, FailureModel, Pipeline, Platform, ScheduleArtifact, StageId};
 use ckpt_service::{generate_keyed, schedule_keyed, Store, WorkflowArtifact};
 use mspg::linearize::Linearizer;
 use mspg::Workflow;
@@ -137,12 +135,13 @@ impl Default for EngineConfig {
 /// nested thread budgets.
 ///
 /// The store memoizes each lane's unscaled workflow and its
-/// `(procs, linearizer)` schedules. Curves, placements and evaluations
-/// are per-cell: no two cells of a grid share a `(procs, pfail, ccr)`
-/// point. Segment topologies could be shared — a CkptAll topology reads
-/// no pfail, so the cells of one `(procs, ccr)` point place the same
-/// one — but cells build their graphs through [`Pipeline`], which
-/// coalesces each one afresh, and the store holds none.
+/// `(procs, linearizer)` schedule artifacts, each checked once and
+/// carrying its `W_par`. Curves, placements and evaluations are
+/// per-cell: no two cells of a grid share a `(procs, pfail, ccr)`
+/// point. The CCR-scaled instance, the CkptAll topology and the DP's
+/// cost tables read no pfail and recur across a point's pfails, but the
+/// store holds none of them: on a Montage figure grid they would take
+/// about twice the memory the whole run peaks at (`DESIGN.md` §5.1).
 pub struct CellCtx<'e> {
     store: &'e Store,
     /// Thread budget for Monte Carlo work nested inside one cell
@@ -183,15 +182,16 @@ impl CellCtx<'_> {
         })
     }
 
-    /// The schedule of the **unscaled** instance `i` on the cell's
-    /// processors, computed on its first lookup in the run (a
-    /// `resolve.schedule` span).
+    /// The schedule artifact of the **unscaled** instance `i` on the
+    /// cell's processors: the schedule, checked once, and its `W_par`,
+    /// computed on its first lookup in the run (a `resolve.schedule`
+    /// span).
     ///
     /// For `Structural`/`RandomTopo` linearizers this is bit-identical to
     /// scheduling any CCR-rescaled clone; for `MinVolume` (which ranks by
     /// data volume) uniform rescaling preserves the ranking up to
     /// floating-point ties, and the unscaled order is the canonical one.
-    pub fn schedule(&self, cell: &Cell, i: usize, linearizer: Linearizer) -> Arc<Schedule> {
+    pub fn schedule(&self, cell: &Cell, i: usize, linearizer: Linearizer) -> Arc<ScheduleArtifact> {
         let wa = self.instance(cell, i);
         let alloc = AllocateConfig {
             linearizer,
@@ -200,28 +200,15 @@ impl CellCtx<'_> {
         let (key, schedule) = schedule_keyed(&wa, cell.procs, alloc);
         let schedules = &self.store.schedules;
         let (artifact, _) = schedules.resolve(StageId::Schedule, key, schedule);
-        let artifact = artifact.expect("grid inputs are valid by construction");
-        artifact.schedule.clone()
+        artifact.expect("grid inputs are valid by construction")
     }
 
     /// The evaluation pipeline of the rescaled instance `w` (a clone
-    /// obtained from [`CellCtx::scaled_instance`]) under the shared
-    /// schedule and the cell's platform.
+    /// obtained from [`CellCtx::scaled_instance`]) on the stored
+    /// schedule artifact, with the cell's processors and failure model
+    /// `model` (calibrated by the caller from the cell's `pfail` and the
+    /// instance's mean weight).
     pub fn pipeline<'w>(
-        &self,
-        cell: &Cell,
-        i: usize,
-        w: &'w Workflow,
-        linearizer: Linearizer,
-    ) -> Pipeline<'w> {
-        let lambda = lambda_from_pfail(cell.pfail, w.dag.mean_weight());
-        self.pipeline_with_model(cell, i, w, linearizer, FailureModel::exponential(lambda))
-    }
-
-    /// [`CellCtx::pipeline`] with an arbitrary failure model (the
-    /// `distributions` scenario calibrates one per cell from the cell's
-    /// `pfail` and the instance's mean weight).
-    pub fn pipeline_with_model<'w>(
         &self,
         cell: &Cell,
         i: usize,
@@ -230,7 +217,7 @@ impl CellCtx<'_> {
         model: FailureModel,
     ) -> Pipeline<'w> {
         let platform = Platform::with_model(cell.procs, model, BANDWIDTH);
-        Pipeline::with_schedule(w, platform, self.schedule(cell, i, linearizer))
+        Pipeline::with_schedule(w, platform, &self.schedule(cell, i, linearizer))
             .with_plan_threads(self.plan_threads)
     }
 }

@@ -31,13 +31,8 @@ pub mod summary;
 
 use std::path::{Path, PathBuf};
 
-use ckpt_core::{
-    lambda_from_pfail, AllocateConfig, CkptAllPolicy, DpOptimalPolicy, Pipeline, Platform,
-};
-use mspg::Workflow;
-use pegasus::ccr::scale_to_ccr;
 use pegasus::WorkflowClass;
-use probdag::{Evaluator, PathApprox};
+use probdag::Evaluator;
 
 /// Stable-storage bandwidth used throughout the experiments (bytes/s).
 /// Its absolute value is immaterial: every experiment pins the CCR by
@@ -80,83 +75,6 @@ pub struct FigureRow {
     pub rel_none: f64,
 }
 
-/// Runs one figure cell, averaging over `instances` generated workflows.
-///
-/// This is the serial reference implementation the calibration gates in
-/// `tests/figure_shapes.rs` pin; the binaries and [`figure_grid`] run
-/// the cache-sharing engine path ([`scenarios::FigureScenario`])
-/// instead.
-pub fn figure_cell(
-    class: WorkflowClass,
-    size: usize,
-    procs: usize,
-    pfail: f64,
-    ccr: f64,
-    instances: usize,
-    base_seed: u64,
-) -> FigureRow {
-    assert!(instances >= 1);
-    let evaluator = PathApprox::default();
-    let (mut em_some, mut em_all, mut em_none) = (0.0, 0.0, 0.0);
-    let mut ckpts = 0usize;
-    let mut actual = 0usize;
-    for i in 0..instances {
-        let seed = base_seed.wrapping_add(i as u64);
-        let mut w = pegasus::generate(class, size, seed);
-        actual = w.n_tasks();
-        scale_to_ccr(&mut w, ccr, BANDWIDTH);
-        let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
-        let platform = Platform::new(procs, lambda, BANDWIDTH);
-        let cfg = AllocateConfig {
-            seed,
-            ..Default::default()
-        };
-        let pipe = Pipeline::new(&w, platform, &cfg);
-        let some = pipe.assess(&DpOptimalPolicy, &evaluator);
-        let all = pipe.assess(&CkptAllPolicy, &evaluator);
-        let none = pipe.assess_none();
-        em_some += some.expected_makespan;
-        em_all += all.expected_makespan;
-        em_none += none.expected_makespan;
-        ckpts += some.n_checkpoints;
-    }
-    let nf = instances as f64;
-    let (em_some, em_all, em_none) = (em_some / nf, em_all / nf, em_none / nf);
-    FigureRow {
-        class,
-        size,
-        actual_tasks: actual,
-        procs,
-        pfail,
-        ccr,
-        em_some,
-        em_all,
-        em_none,
-        ckpts_some: ckpts / instances,
-        rel_all: em_all / em_some,
-        rel_none: em_none / em_some,
-    }
-}
-
-/// Runs the full grid for one class (one figure): sizes × processor
-/// counts × pfail × CCR grid, through the parallel scenario engine
-/// (all cores; rows come back in canonical grid order regardless).
-pub fn figure_grid(
-    class: WorkflowClass,
-    ccr_points: usize,
-    instances: usize,
-    seed: u64,
-) -> Vec<FigureRow> {
-    let scenario = scenarios::FigureScenario::paper(class, ccr_points, instances, seed);
-    engine::run(
-        &scenario,
-        &engine::EngineConfig::default(),
-        &mut engine::NullSink,
-    )
-    .expect("in-memory engine run cannot fail")
-    .rows
-}
-
 /// CSV header matching [`FigureRow`].
 pub const FIGURE_HEADER: &str =
     "class,size,actual_tasks,procs,pfail,ccr,em_some,em_all,em_none,ckpts_some,rel_all,rel_none";
@@ -178,24 +96,6 @@ pub fn figure_csv(r: &FigureRow) -> String {
         r.rel_all,
         r.rel_none
     )
-}
-
-/// A workflow instance pinned to a CCR (shared by `accuracy`/`validate`).
-pub fn instance(class: WorkflowClass, size: usize, ccr: f64, seed: u64) -> Workflow {
-    let mut w = pegasus::generate(class, size, seed);
-    scale_to_ccr(&mut w, ccr, BANDWIDTH);
-    w
-}
-
-/// Builds the evaluation pipeline for an instance.
-pub fn pipeline_for<'a>(w: &'a Workflow, procs: usize, pfail: f64, seed: u64) -> Pipeline<'a> {
-    let lambda = lambda_from_pfail(pfail, w.dag.mean_weight());
-    let platform = Platform::new(procs, lambda, BANDWIDTH);
-    let cfg = AllocateConfig {
-        seed,
-        ..Default::default()
-    };
-    Pipeline::new(w, platform, &cfg)
 }
 
 /// Times a single evaluator invocation, returning `(estimate, seconds)`.
@@ -475,9 +375,63 @@ impl ObsOut {
 mod tests {
     use super::*;
 
+    use engine::{CcrAxis, Cell, CellCtx, EngineConfig, Grid, NullSink, ProcAxis, Scenario};
+    use scenarios::FigureScenario;
+
+    /// [`FigureScenario`] on the cells of an explicit grid.
+    struct OnGrid(FigureScenario, Grid);
+
+    impl Scenario for OnGrid {
+        type Row = FigureRow;
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn cells(&self) -> Vec<Cell> {
+            self.1.cells()
+        }
+
+        fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<FigureRow> {
+            self.0.run_cell(cell, ctx)
+        }
+
+        fn header(&self) -> String {
+            self.0.header()
+        }
+
+        fn csv(&self, row: &FigureRow) -> String {
+            self.0.csv(row)
+        }
+    }
+
+    /// The row `FigureScenario` computes for one cell of a grid on
+    /// `base_seed`, through the engine.
+    fn figure_cell(
+        class: WorkflowClass,
+        size: usize,
+        procs: usize,
+        pfail: f64,
+        ccr: f64,
+        base_seed: u64,
+    ) -> FigureRow {
+        let grid = Grid {
+            classes: vec![class],
+            sizes: vec![size],
+            procs: ProcAxis::Explicit(vec![procs]),
+            pfails: vec![pfail],
+            ccrs: CcrAxis::Explicit(vec![ccr]),
+            instances: 1,
+            base_seed,
+        };
+        let scenario = OnGrid(FigureScenario::paper(class, 2, 1, base_seed), grid);
+        let report = engine::run(&scenario, &EngineConfig::with_threads(1), &mut NullSink);
+        report.unwrap().rows.remove(0)
+    }
+
     #[test]
     fn figure_cell_produces_sane_ratios() {
-        let r = figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 1, 42);
+        let r = figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 42);
         assert!(r.em_some > 0.0);
         assert!(r.rel_all >= 0.98, "CkptAll/CkptSome {}", r.rel_all);
         assert!(r.rel_none > 0.0);
@@ -486,7 +440,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_format() {
-        let r = figure_cell(WorkflowClass::Montage, 50, 3, 0.01, 0.1, 1, 1);
+        let r = figure_cell(WorkflowClass::Montage, 50, 3, 0.01, 0.1, 1);
         let line = figure_csv(&r);
         assert_eq!(line.split(',').count(), FIGURE_HEADER.split(',').count());
         assert!(line.starts_with("montage,50"));

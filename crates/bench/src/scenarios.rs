@@ -8,12 +8,11 @@
 //! Young/Daly periodic, risk-threshold, and structural placements).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use ckpt_core::stage::schedule_stage;
 use ckpt_core::{
     AllocateConfig, Assessment, CheckpointPolicy, CkptAllPolicy, DpOptimalPolicy, ExitOnlyPolicy,
-    Pipeline, Schedule, StageId,
+    FailureModel, Pipeline, ScheduleArtifact, StageId,
 };
 use ckpt_service::{ModelSpec, PolicySpec};
 use failsim::{montecarlo_none_model, montecarlo_segments_model, McStats, SimConfig};
@@ -90,7 +89,8 @@ impl Scenario for FigureScenario {
         for i in 0..cell.instances {
             let w = ctx.scaled_instance(cell, i);
             actual = w.n_tasks();
-            let pipe = ctx.pipeline(cell, i, &w, Linearizer::RandomTopo);
+            let model = FailureModel::exponential_from_pfail(cell.pfail, w.dag.mean_weight());
+            let pipe = ctx.pipeline(cell, i, &w, Linearizer::RandomTopo, model);
             let some = pipe.assess(&DpOptimalPolicy, &evaluator);
             em_some += some.expected_makespan;
             ckpts += some.n_checkpoints;
@@ -189,7 +189,8 @@ impl Scenario for AccuracyScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<AccuracyRow> {
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
+        let model = FailureModel::exponential_from_pfail(cell.pfail, w.dag.mean_weight());
+        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo, model);
         let mc = MonteCarlo {
             trials: self.trials,
             seed: ctx.instance_seed(cell, 0),
@@ -365,7 +366,8 @@ impl Scenario for ValidateScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<ValidateRow> {
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
+        let model = FailureModel::exponential_from_pfail(cell.pfail, w.dag.mean_weight());
+        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo, model);
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -475,9 +477,10 @@ impl Scenario for LinearizationScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LinearizationRow> {
         let w = ctx.scaled_instance(cell, 0);
+        let model = FailureModel::exponential_from_pfail(cell.pfail, w.dag.mean_weight());
         let evaluator = PathApprox::default();
         let em = |lin: Linearizer| {
-            ctx.pipeline(cell, 0, &w, lin)
+            ctx.pipeline(cell, 0, &w, lin, model)
                 .assess(&DpOptimalPolicy, &evaluator)
                 .expected_makespan
         };
@@ -568,7 +571,8 @@ impl Scenario for NaiveCoalesceScenario {
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<NaiveCoalesceRow> {
         let w = ctx.scaled_instance(cell, 0);
-        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo);
+        let model = FailureModel::exponential_from_pfail(cell.pfail, w.dag.mean_weight());
+        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo, model);
         let evaluator = PathApprox::default();
         let em = |policy: &dyn CheckpointPolicy| pipe.assess(policy, &evaluator).expected_makespan;
         let em_exit_only = em(&ExitOnlyPolicy);
@@ -621,16 +625,16 @@ pub struct LigoFootnoteRow {
 /// the dummy-patched workflow (extra synchronizations, no data), while
 /// CkptAll's costs are unaffected by the zero-size dummies.
 ///
-/// The two 300-task instances (and their CCR-invariant schedules) are
-/// built once at construction; each cell only rescales clones and
-/// shares the schedules.
+/// The two 300-task instances (and their CCR-invariant schedule
+/// artifacts) are built once at construction; each cell only rescales
+/// clones and shares the artifacts.
 pub struct LigoFootnoteScenario {
     ccr_points: usize,
     base_seed: u64,
     mainline: Workflow,
-    mainline_schedule: Arc<Schedule>,
+    mainline_schedule: ScheduleArtifact,
     patched: Workflow,
-    patched_schedule: Arc<Schedule>,
+    patched_schedule: ScheduleArtifact,
 }
 
 /// CSV header of the E8 table.
@@ -660,9 +664,12 @@ impl LigoFootnoteScenario {
             linearizer: Linearizer::RandomTopo,
             seed: wf_seed,
         };
-        let schedule = |w| schedule_stage(w, LIGO_FOOTNOTE_PROCS, &cfg).expect("valid E8 inputs");
-        let mainline_schedule = Arc::new(schedule(&mainline));
-        let patched_schedule = Arc::new(schedule(&patched));
+        let schedule = |w: &Workflow| {
+            let schedule = schedule_stage(w, LIGO_FOOTNOTE_PROCS, &cfg).expect("valid E8 inputs");
+            ScheduleArtifact::new(schedule, &w.dag)
+        };
+        let mainline_schedule = schedule(&mainline);
+        let patched_schedule = schedule(&patched);
         LigoFootnoteScenario {
             ccr_points,
             base_seed,
@@ -673,7 +680,7 @@ impl LigoFootnoteScenario {
         }
     }
 
-    fn rel_all(w: &Workflow, schedule: Arc<Schedule>, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
+    fn rel_all(w: &Workflow, schedule: &ScheduleArtifact, cell: &Cell, ctx: &CellCtx<'_>) -> f64 {
         let w = in_stage(StageId::Generate, || {
             let mut w = w.clone();
             scale_to_ccr(&mut w, cell.ccr, BANDWIDTH);
@@ -712,8 +719,8 @@ impl Scenario for LigoFootnoteScenario {
     }
 
     fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<LigoFootnoteRow> {
-        let mainline = Self::rel_all(&self.mainline, self.mainline_schedule.clone(), cell, ctx);
-        let patched = Self::rel_all(&self.patched, self.patched_schedule.clone(), cell, ctx);
+        let mainline = Self::rel_all(&self.mainline, &self.mainline_schedule, cell, ctx);
+        let patched = Self::rel_all(&self.patched, &self.patched_schedule, cell, ctx);
         vec![LigoFootnoteRow {
             ccr: cell.ccr,
             pfail: cell.pfail,
@@ -905,7 +912,7 @@ impl Scenario for DistributionsScenario {
         let spec = self.layout().of(cell).with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
         let model = spec.build(w.dag.mean_weight());
-        let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
+        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo, model);
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),
@@ -1114,7 +1121,7 @@ impl Scenario for StrategiesScenario {
         let spec = spec.with_pfail(cell.pfail);
         let w = ctx.scaled_instance(cell, 0);
         let model = spec.build(w.dag.mean_weight());
-        let pipe = ctx.pipeline_with_model(cell, 0, &w, Linearizer::RandomTopo, model);
+        let pipe = ctx.pipeline(cell, 0, &w, Linearizer::RandomTopo, model);
         let cfg = SimConfig {
             runs: self.runs,
             seed: ctx.instance_seed(cell, 0),

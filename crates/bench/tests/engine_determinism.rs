@@ -243,14 +243,3 @@ fn store_generates_once_per_lane_and_schedules_once_per_procs_and_linearizer() {
     assert_eq!((c.workflow_misses, c.workflow_hits), (2, 8 * 4 - 2));
     assert_eq!((c.schedule_misses, c.schedule_hits), (2 * 3, 8 * 3 - 2 * 3));
 }
-
-#[test]
-fn figure_grid_wrapper_matches_explicit_engine_run() {
-    let rows = ckpt_bench::figure_grid(WorkflowClass::Ligo, 2, 1, 11);
-    let scenario = FigureScenario::paper(WorkflowClass::Ligo, 2, 1, 11);
-    let report = engine::run(&scenario, &EngineConfig::with_threads(1), &mut NullSink).unwrap();
-    assert_eq!(rows.len(), report.rows.len());
-    for (a, b) in rows.iter().zip(&report.rows) {
-        assert_eq!(ckpt_bench::figure_csv(a), ckpt_bench::figure_csv(b));
-    }
-}

@@ -2,12 +2,71 @@
 //! well-formed CSV, and cover the extension class.
 
 use ckpt_bench::engine::sink::{CsvFileSink, RowSink};
-use ckpt_bench::{figure_cell, figure_csv, figure_grid, FIGURE_HEADER};
+use ckpt_bench::engine::{
+    self, CcrAxis, Cell, CellCtx, EngineConfig, Grid, NullSink, ProcAxis, Scenario,
+};
+use ckpt_bench::scenarios::FigureScenario;
+use ckpt_bench::{figure_csv, FigureRow, FIGURE_HEADER};
 use pegasus::WorkflowClass;
+
+/// [`FigureScenario`] on the cells of an explicit grid.
+struct OnGrid(FigureScenario, Grid);
+
+impl Scenario for OnGrid {
+    type Row = FigureRow;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        self.1.cells()
+    }
+
+    fn run_cell(&self, cell: &Cell, ctx: &CellCtx<'_>) -> Vec<FigureRow> {
+        self.0.run_cell(cell, ctx)
+    }
+
+    fn header(&self) -> String {
+        self.0.header()
+    }
+
+    fn csv(&self, row: &FigureRow) -> String {
+        self.0.csv(row)
+    }
+}
+
+/// The row `FigureScenario` computes for one cell of a grid on
+/// `base_seed`, averaged over `instances`.
+fn figure_cell(
+    class: WorkflowClass,
+    size: usize,
+    procs: usize,
+    pfail: f64,
+    ccr: f64,
+    instances: usize,
+    base_seed: u64,
+) -> FigureRow {
+    let grid = Grid {
+        classes: vec![class],
+        sizes: vec![size],
+        procs: ProcAxis::Explicit(vec![procs]),
+        pfails: vec![pfail],
+        ccrs: CcrAxis::Explicit(vec![ccr]),
+        instances,
+        base_seed,
+    };
+    let scenario = OnGrid(FigureScenario::paper(class, 2, instances, base_seed), grid);
+    let report = engine::run(&scenario, &EngineConfig::with_threads(1), &mut NullSink);
+    report.unwrap().rows.remove(0)
+}
 
 #[test]
 fn tiny_grid_covers_all_dimensions() {
-    let rows = figure_grid(WorkflowClass::Ligo, 2, 1, 7);
+    let scenario = FigureScenario::paper(WorkflowClass::Ligo, 2, 1, 7);
+    let rows = engine::run(&scenario, &EngineConfig::default(), &mut NullSink)
+        .unwrap()
+        .rows;
     // 3 sizes × 4 proc counts × 3 pfails × 2 CCR points.
     assert_eq!(rows.len(), 3 * 4 * 3 * 2);
     // Every row has positive makespans and consistent ratios.

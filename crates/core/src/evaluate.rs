@@ -16,7 +16,7 @@ use crate::error::PlanResult;
 use crate::failure_model::{FailureModel, RestartCurve};
 use crate::platform::Platform;
 use crate::policy::{CheckpointPolicy, PolicyScratch};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, ScheduleArtifact};
 use crate::stage;
 
 /// Theorem 1: estimated expected makespan of a no-checkpoint execution
@@ -101,9 +101,12 @@ pub struct Pipeline<'a> {
     pub workflow: &'a Workflow,
     /// The platform (processor count, failure rate, storage bandwidth).
     pub platform: Platform,
-    /// The superchain schedule produced by `Allocate`, shared: the grid
-    /// engine hands every cell's pipeline the store's copy.
+    /// The superchain schedule produced by `Allocate`, shared with the
+    /// [`ScheduleArtifact`] it came from: the grid engine hands every
+    /// cell's pipeline the store's copy.
     pub schedule: Arc<Schedule>,
+    /// The schedule's failure-free parallel time, from its artifact.
+    w_par: f64,
     /// Cached renewal curve for non-memoryless platforms, built once per
     /// pipeline over the workflow's span range and threaded through
     /// every [`CostCtx`] this pipeline hands out (`None` for exponential
@@ -117,44 +120,51 @@ pub struct Pipeline<'a> {
 
 impl<'a> Pipeline<'a> {
     /// Schedules `workflow` on `platform` with `Allocate` (the Schedule
-    /// stage).
+    /// stage) and checks the schedule once ([`ScheduleArtifact::new`]).
     pub fn new(workflow: &'a Workflow, platform: Platform, cfg: &AllocateConfig) -> Self {
         let schedule = stage::schedule_stage(workflow, platform.n_procs, cfg)
             .expect("Pipeline inputs are valid by construction");
-        Self::with_schedule(workflow, platform, schedule)
+        Self::with_schedule(
+            workflow,
+            platform,
+            &ScheduleArtifact::new(schedule, &workflow.dag),
+        )
     }
 
-    /// Builds a pipeline around a schedule computed elsewhere.
+    /// Builds a pipeline on a schedule artifact built elsewhere.
     ///
     /// `Allocate` is the expensive placement-independent step, and for the
     /// structure-driven linearizers (`Structural`, `RandomTopo`) it does
-    /// not read file sizes at all — so a schedule computed once per
-    /// workflow instance can be re-used across every CCR rescaling of that
-    /// instance (the experiment engine relies on this: it schedules the
-    /// unscaled instance once per run and shares that schedule, by
-    /// `Arc`, with every cell's pipeline).
+    /// not read file sizes at all — so the artifact of a workflow
+    /// instance serves every CCR rescaling of that instance: the rescale
+    /// touches only file sizes, which neither the artifact's checks nor
+    /// its `W_par` read. The experiment engine relies on this: it stores
+    /// the unscaled instance's artifact once per run and shares it with
+    /// every cell's pipeline. The schedule is not checked again here.
     ///
     /// # Panics
-    /// Panics if `schedule` does not cover `workflow` on
-    /// `platform.n_procs` processors (e.g. it was computed for a different
-    /// instance or processor count).
+    /// Panics if the artifact's schedule was computed for a different
+    /// processor count or task count.
     pub fn with_schedule(
         workflow: &'a Workflow,
         platform: Platform,
-        schedule: impl Into<Arc<Schedule>>,
+        artifact: &ScheduleArtifact,
     ) -> Self {
-        let schedule = schedule.into();
+        let schedule = artifact.schedule().clone();
         assert_eq!(
             schedule.n_procs, platform.n_procs,
             "schedule was computed for a different processor count"
         );
-        schedule
-            .validate(&workflow.dag)
-            .expect("schedule does not fit this workflow");
+        assert_eq!(
+            schedule.n_tasks(),
+            workflow.n_tasks(),
+            "schedule was computed for a different task count"
+        );
         Pipeline {
             workflow,
             platform,
             schedule,
+            w_par: artifact.w_par(),
             curve: stage::curve_stage(&workflow.dag, &platform)
                 .expect("Pipeline inputs are valid by construction"),
             plan_threads: 1,
@@ -168,12 +178,6 @@ impl<'a> Pipeline<'a> {
     pub fn with_plan_threads(mut self, threads: usize) -> Self {
         self.plan_threads = threads;
         self
-    }
-
-    /// The renewal curve backing this pipeline's cost paths, if any
-    /// (`None` for memoryless or never-failing platforms).
-    pub fn restart_curve(&self) -> Option<&RestartCurve> {
-        self.curve.as_ref()
     }
 
     fn ctx(&self) -> CostCtx<'_> {
@@ -230,15 +234,15 @@ impl<'a> Pipeline<'a> {
     /// by the Theorem 1 closed form over the schedule's failure-free
     /// parallel time (no placement, no evaluator).
     pub fn assess_none(&self) -> Assessment {
-        let w_par = self.schedule.failure_free_parallel_time(&self.workflow.dag);
+        let platform = &self.platform;
         Assessment {
             policy: "CkptNone",
-            expected_makespan: theorem1_model(w_par, self.platform.n_procs, &self.platform.model),
+            expected_makespan: theorem1_model(self.w_par, platform.n_procs, &platform.model),
             n_checkpoints: 0,
             n_segments: 0,
             ckpt_files: 0,
             ckpt_bytes: 0.0,
-            w_par,
+            w_par: self.w_par,
         }
     }
 
@@ -251,9 +255,7 @@ impl<'a> Pipeline<'a> {
         sg: &SegmentGraph,
         evaluator: &dyn Evaluator,
     ) -> Assessment {
-        let dag = &self.workflow.dag;
-        let w_par = self.schedule.failure_free_parallel_time(dag);
-        assessment(policy, sg, dag, w_par, evaluator)
+        assessment(policy, sg, &self.workflow.dag, self.w_par, evaluator)
             .expect("Pipeline inputs are valid by construction")
     }
 }
@@ -411,8 +413,8 @@ mod tests {
         scale_to_ccr(&mut scaled, 0.05, bw);
         let p = platform(&scaled, 5, 0.001, bw);
         let from_scratch = Pipeline::new(&scaled, p, &cfg);
-        let cached = allocate(&base, p.n_procs, &cfg);
-        let reused = Pipeline::with_schedule(&scaled, p, cached);
+        let cached = ScheduleArtifact::new(allocate(&base, p.n_procs, &cfg), &base.dag);
+        let reused = Pipeline::with_schedule(&scaled, p, &cached);
         let policies: [&dyn CheckpointPolicy; 3] =
             [&CkptAllPolicy, &DpOptimalPolicy, &ExitOnlyPolicy];
         for policy in policies {
@@ -434,7 +436,17 @@ mod tests {
         let w = generate(WorkflowClass::Genome, 50, 1);
         let p5 = platform(&w, 5, 0.001, 1e7);
         let sched = allocate(&w, 3, &AllocateConfig::default());
-        let _ = Pipeline::with_schedule(&w, p5, sched);
+        let _ = Pipeline::with_schedule(&w, p5, &ScheduleArtifact::new(sched, &w.dag));
+    }
+
+    #[test]
+    #[should_panic(expected = "different task count")]
+    fn with_schedule_rejects_an_artifact_of_another_task_count() {
+        let small = generate(WorkflowClass::Genome, 50, 1);
+        let large = generate(WorkflowClass::Genome, 300, 1);
+        let p = platform(&large, 5, 0.001, 1e7);
+        let sched = allocate(&small, 5, &AllocateConfig::default());
+        let _ = Pipeline::with_schedule(&large, p, &ScheduleArtifact::new(sched, &small.dag));
     }
 
     #[test]

@@ -94,5 +94,5 @@ pub use policy::{
     GreedyCrossover, PolicyScratch, RiskThreshold,
 };
 pub use propmap::{propmap, PropMapResult};
-pub use schedule::{Schedule, Superchain};
+pub use schedule::{Schedule, ScheduleArtifact, Superchain};
 pub use stage::StageId;

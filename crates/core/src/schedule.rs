@@ -1,4 +1,7 @@
-//! Schedules: superchains mapped onto processors.
+//! Schedules: superchains mapped onto processors, and the checked
+//! schedule artifact that every way of planning works on.
+
+use std::sync::Arc;
 
 use mspg::{Dag, TaskId};
 
@@ -93,23 +96,75 @@ impl Schedule {
 
     /// Failure-free parallel time `W_par`: the longest path over task
     /// weights through dependence edges *plus* same-processor serialization
-    /// edges, with zero I/O cost (used by Theorem 1 for CkptNone).
+    /// edges, with zero I/O cost (used by Theorem 1 for CkptNone). One
+    /// linear sweep; [`ScheduleArtifact`] holds it for a checked schedule.
+    ///
+    /// # Panics
+    /// Panics if the schedule graph has a cycle.
     pub fn failure_free_parallel_time(&self, dag: &Dag) -> f64 {
+        self.sweep(dag).expect("schedule graph has a cycle")
+    }
+
+    /// Validates coverage, per-superchain topological consistency, and
+    /// global acyclicity of dependence + serialization edges.
+    pub fn validate(&self, dag: &Dag) -> Result<(), ScheduleError> {
+        self.checked_w_par(dag).map(|_| ())
+    }
+
+    /// [`Schedule::validate`]'s checks, in its order, then `W_par` from
+    /// the sweep that proves acyclicity. Linear in tasks plus edges.
+    fn checked_w_par(&self, dag: &Dag) -> Result<f64, ScheduleError> {
+        // Per task: its superchain and its position there.
+        let mut place = vec![(u32::MAX, 0u32); dag.n_tasks()];
+        for (i, sc) in self.superchains.iter().enumerate() {
+            for (k, &t) in sc.tasks.iter().enumerate() {
+                if place[t.index()].0 != u32::MAX {
+                    return Err(ScheduleError::BadCover(t));
+                }
+                place[t.index()] = (i as u32, k as u32);
+            }
+        }
+        if let Some(i) = place.iter().position(|&(sc, _)| sc == u32::MAX) {
+            return Err(ScheduleError::BadCover(TaskId(i as u32)));
+        }
+        // The first superchain with an internal edge pointing backwards.
+        let backwards = dag
+            .task_ids()
+            .flat_map(|t| dag.succs(t).iter().map(move |&(v, _)| (t, v)))
+            .map(|(t, v)| (place[t.index()], place[v.index()]))
+            .filter(|&((sc, k), (sc_v, k_v))| sc == sc_v && k >= k_v)
+            .map(|((sc, _), _)| sc)
+            .min();
+        if let Some(sc) = backwards {
+            return Err(ScheduleError::NotTopological(sc as usize));
+        }
+        self.sweep(dag).ok_or(ScheduleError::Deadlock)
+    }
+
+    /// The one Kahn sweep over dependence plus serialization edges: the
+    /// latest finish time, which is `W_par`, or `None` if that graph has
+    /// a cycle. Each task's serialization neighbours (the tasks before
+    /// and after it in its processor's concatenated superchains) come
+    /// from one pass over the processors, so the sweep is linear. `max`
+    /// is exact, so the finish times do not depend on the visit order.
+    fn sweep(&self, dag: &Dag) -> Option<f64> {
         let n = dag.n_tasks();
-        // Serialization successor: the next task on the same processor.
-        let mut serial_next = vec![None; n];
-        for p in 0..self.n_procs {
-            let order = self.proc_task_order(p);
-            for w in order.windows(2) {
-                serial_next[w[0].index()] = Some(w[1]);
+        let mut serial_prev: Vec<Option<TaskId>> = vec![None; n];
+        let mut serial_next: Vec<Option<TaskId>> = vec![None; n];
+        for chains in &self.proc_chains {
+            let mut prev = None;
+            for &t in chains.iter().flat_map(|&s| &self.superchains[s].tasks) {
+                if let Some(u) = prev {
+                    serial_prev[t.index()] = Some(u);
+                    serial_next[u.index()] = Some(t);
+                }
+                prev = Some(t);
             }
         }
         let mut indeg = vec![0usize; n];
         for t in dag.task_ids() {
-            for &(v, _) in dag.succs(t) {
-                indeg[v.index()] += 1;
-            }
-            if let Some(v) = serial_next[t.index()] {
+            let succs = dag.succs(t).iter().map(|&(v, _)| v);
+            for v in succs.chain(serial_next[t.index()]) {
                 indeg[v.index()] += 1;
             }
         }
@@ -123,123 +178,64 @@ impl Schedule {
             for &(u, _) in dag.preds(t) {
                 start = start.max(finish[u.index()]);
             }
-            // Serialization predecessor contributes too; handled by the
-            // indegree graph: find it by scanning is avoidable — track via
-            // a reverse map.
-            start = start.max(finish_serial_pred(&finish, t, self, dag));
+            if let Some(u) = serial_prev[t.index()] {
+                start = start.max(finish[u.index()]);
+            }
             finish[t.index()] = start + dag.weight(t);
             best = best.max(finish[t.index()]);
-            for &(v, _) in dag.succs(t) {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    ready.push(v);
-                }
-            }
-            if let Some(v) = serial_next[t.index()] {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        assert_eq!(done, n, "schedule graph has a cycle");
-        best
-    }
-
-    /// Validates coverage, per-superchain topological consistency, and
-    /// global acyclicity of dependence + serialization edges.
-    pub fn validate(&self, dag: &Dag) -> Result<(), ScheduleError> {
-        let mut seen = vec![false; dag.n_tasks()];
-        for sc in &self.superchains {
-            for &t in &sc.tasks {
-                if seen[t.index()] {
-                    return Err(ScheduleError::BadCover(t));
-                }
-                seen[t.index()] = true;
-            }
-        }
-        if let Some(i) = seen.iter().position(|&s| !s) {
-            return Err(ScheduleError::BadCover(TaskId(i as u32)));
-        }
-        for (i, sc) in self.superchains.iter().enumerate() {
-            if !mspg::linearize::is_topological_induced(dag, &sc.tasks) {
-                return Err(ScheduleError::NotTopological(i));
-            }
-        }
-        // Global acyclicity: reuse the longest-path routine, which panics
-        // on cycles — probe cheaply instead.
-        if !self.is_acyclic_with_serialization(dag) {
-            return Err(ScheduleError::Deadlock);
-        }
-        Ok(())
-    }
-
-    fn is_acyclic_with_serialization(&self, dag: &Dag) -> bool {
-        let n = dag.n_tasks();
-        let mut serial_next = vec![None; n];
-        for p in 0..self.n_procs {
-            let order = self.proc_task_order(p);
-            for w in order.windows(2) {
-                serial_next[w[0].index()] = Some(w[1]);
-            }
-        }
-        let mut indeg = vec![0usize; n];
-        for t in dag.task_ids() {
-            for &(v, _) in dag.succs(t) {
-                indeg[v.index()] += 1;
-            }
-            if let Some(v) = serial_next[t.index()] {
-                indeg[v.index()] += 1;
-            }
-        }
-        let mut ready: Vec<TaskId> = dag.task_ids().filter(|t| indeg[t.index()] == 0).collect();
-        let mut done = 0usize;
-        while let Some(t) = ready.pop() {
-            done += 1;
-            for &(v, _) in dag.succs(t) {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    ready.push(v);
-                }
-            }
-            if let Some(v) = serial_next[t.index()] {
+            let succs = dag.succs(t).iter().map(|&(v, _)| v);
+            for v in succs.chain(serial_next[t.index()]) {
                 indeg[v.index()] -= 1;
                 if indeg[v.index()] == 0 {
                     ready.push(v);
                 }
             }
         }
-        done == n
+        (done == n).then_some(best)
     }
 }
 
-/// Finish time of `t`'s serialization predecessor, if any.
-fn finish_serial_pred(finish: &[f64], t: TaskId, sched: &Schedule, dag: &Dag) -> f64 {
-    // The serialization predecessor is the previous task in t's
-    // superchain, or the last task of the previous superchain on the same
-    // processor.
-    let sc_idx = sched.task_sc[t.index()] as usize;
-    let sc = &sched.superchains[sc_idx];
-    let pos = sc
-        .tasks
-        .iter()
-        .position(|&x| x == t)
-        .expect("task in its superchain");
-    if pos > 0 {
-        return finish[sc.tasks[pos - 1].index()];
-    }
-    let chain_pos = sched.proc_chains[sc.proc]
-        .iter()
-        .position(|&s| s == sc_idx)
-        .expect("superchain on its processor");
-    if chain_pos > 0 {
-        let prev = &sched.superchains[sched.proc_chains[sc.proc][chain_pos - 1]];
-        if let Some(&last) = prev.tasks.last() {
-            return finish[last.index()];
+/// A schedule checked against the DAG it was built for, with its
+/// failure-free parallel time `W_par`: what [`crate::Pipeline`], the
+/// grid engine's cells and the service's sessions all plan on.
+/// [`ScheduleArtifact::new`] is its one constructor, so an artifact
+/// always holds a valid schedule and that schedule's own `W_par`.
+///
+/// Neither the checks nor `W_par` read file sizes, so the artifact of a
+/// workflow instance serves every CCR rescale of it.
+#[derive(Debug)]
+pub struct ScheduleArtifact {
+    schedule: Arc<Schedule>,
+    w_par: f64,
+}
+
+impl ScheduleArtifact {
+    /// Checks `schedule` against `dag` as [`Schedule::validate`] does
+    /// and measures its `W_par`, in one linear sweep.
+    ///
+    /// # Panics
+    /// Panics if `schedule` does not fit `dag` (a [`ScheduleError`]).
+    pub fn new(schedule: Schedule, dag: &Dag) -> Self {
+        let w_par = schedule
+            .checked_w_par(dag)
+            .unwrap_or_else(|e| panic!("schedule does not fit this workflow: {e}"));
+        ScheduleArtifact {
+            schedule: Arc::new(schedule),
+            w_par,
         }
     }
-    let _ = dag;
-    0.0
+
+    /// The schedule, shared: every pipeline built on this artifact
+    /// holds the same one.
+    pub fn schedule(&self) -> &Arc<Schedule> {
+        &self.schedule
+    }
+
+    /// Failure-free parallel time of the schedule, without storage I/O
+    /// ([`Schedule::failure_free_parallel_time`]).
+    pub fn w_par(&self) -> f64 {
+        self.w_par
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +307,54 @@ mod tests {
             sched.validate(&w.dag),
             Err(ScheduleError::NotTopological(_))
         ));
+    }
+
+    /// P0 runs d before b, which d depends on: each superchain is in
+    /// order, but the serialization edge d → b closes a cycle.
+    fn deadlocked_schedule() -> (Workflow, Schedule) {
+        let (w, mut sched) = manual_schedule();
+        sched.superchains.swap(1, 3);
+        let sched = Schedule::from_superchains(&w.dag, 2, sched.superchains);
+        (w, sched)
+    }
+
+    #[test]
+    fn validate_rejects_a_deadlock() {
+        let (w, sched) = deadlocked_schedule();
+        assert_eq!(sched.validate(&w.dag), Err(ScheduleError::Deadlock));
+    }
+
+    #[test]
+    fn artifact_holds_the_checked_schedule_and_its_w_par() {
+        let (w, sched) = manual_schedule();
+        let artifact = ScheduleArtifact::new(sched.clone(), &w.dag);
+        assert_eq!(artifact.w_par(), 7.0);
+        assert_eq!(artifact.schedule().superchains, sched.superchains);
+    }
+
+    #[test]
+    #[should_panic(expected = "not scheduled exactly once")]
+    fn artifact_rejects_a_bad_cover() {
+        let (w, mut sched) = manual_schedule();
+        sched.superchains[1].tasks.clear();
+        let _ = ScheduleArtifact::new(sched, &w.dag);
+    }
+
+    #[test]
+    #[should_panic(expected = "superchain 1 violates internal dependencies")]
+    fn artifact_rejects_a_superchain_out_of_order() {
+        let (w, mut sched) = manual_schedule();
+        sched.superchains[1].tasks = vec![TaskId(3), TaskId(1)];
+        sched.superchains.remove(3);
+        let sched = Schedule::from_superchains(&w.dag, 2, sched.superchains);
+        let _ = ScheduleArtifact::new(sched, &w.dag);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule graph has a cycle")]
+    fn artifact_rejects_a_deadlock() {
+        let (w, sched) = deadlocked_schedule();
+        let _ = ScheduleArtifact::new(sched, &w.dag);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The planning pipeline as an explicit stage graph.
 //!
-//! [`crate::evaluate::Pipeline`] used to be a monolith: every query
-//! re-ran schedule → curve → placement → coalesce → evaluate from
-//! scratch. This module names each step as a **pure stage function** —
-//! a deterministic map from its inputs to one artifact — so that a
-//! caller holding content fingerprints of the inputs
+//! This module names each step of planning as a **pure stage
+//! function** — a deterministic map from its inputs to one artifact —
+//! so that a caller holding content fingerprints of the inputs
 //! ([`crate::fingerprint`]) can cache artifacts and re-execute only the
-//! stages a change actually touches. `Pipeline` itself now routes
-//! through these functions (bit-identical to the old monolith), and the
-//! `ckpt_service` crate builds its incremental sessions on top.
+//! stages a change actually touches. [`crate::evaluate::Pipeline`] is
+//! a one-shot run of these functions on one
+//! [`crate::ScheduleArtifact`], and the `ckpt_service` crate builds its
+//! incremental sessions on the same functions.
 //!
 //! The stage graph (downstream depends on upstream):
 //!
@@ -405,7 +404,7 @@ mod tests {
     #[test]
     fn stage_functions_compose_to_the_pipeline() {
         // Running the stage functions by hand reproduces the Pipeline
-        // monolith bit for bit — the refactor is a pure factoring.
+        // bit for bit.
         let w = generate(WorkflowClass::Montage, 50, 11);
         let lambda = lambda_from_pfail(0.001, w.dag.mean_weight());
         let platform = Platform::new(5, lambda, 1e8);

@@ -244,7 +244,7 @@ proptest! {
         let platform = Platform::with_model(p, model, 1e7);
         let cfg = AllocateConfig { linearizer: Linearizer::RandomTopo, seed };
         let pipe = Pipeline::new(&w, platform, &cfg);
-        prop_assert!(pipe.restart_curve().is_some());
+        prop_assert!(ckpt_core::stage::curve_stage(&w.dag, &platform).unwrap().is_some());
         // Direct-quadrature reference: the same schedule, costs through
         // CostCtx::with_model (no curve).
         let direct_ctx = CostCtx::with_model(&w.dag, model, 1e7);

@@ -1,6 +1,7 @@
 //! Property-based tests for the discrete-event simulators.
 
 use ckpt_core::policy::{CheckpointPolicy, DalyPeriodic, GreedyCrossover, RiskThreshold};
+use ckpt_core::stage::curve_stage;
 use ckpt_core::{
     allocate, AllocateConfig, CkptAllPolicy, CostCtx, DpOptimalPolicy, FailureModel, Pipeline,
     Platform,
@@ -114,7 +115,8 @@ proptest! {
         let expected = CostCtx::with_model(&w.dag, model, 1e7).expected_segment_time(base);
         // The cached renewal curve must agree with the direct quadrature
         // here too (the simulator cross-checks both cost paths).
-        let cached = CostCtx::with_curve(&w.dag, model, 1e7, pipe.restart_curve())
+        let curve = curve_stage(&w.dag, &platform).unwrap();
+        let cached = CostCtx::with_curve(&w.dag, model, 1e7, curve.as_ref())
             .expected_segment_time(base);
         prop_assert!(
             (cached - expected).abs() <= 1e-3 * expected.max(1e-12) + 1e-12,

@@ -55,8 +55,5 @@ pub use session::{
     generate_keyed, schedule_keyed, Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec,
     Session, WhatIf, WorkflowSource,
 };
-pub use store::{
-    Memo, MemoStats, PlanArtifact, ScheduleArtifact, Store, StoreStats, WorkflowArtifact,
-    MAX_ATTEMPTS,
-};
+pub use store::{Memo, MemoStats, PlanArtifact, Store, StoreStats, WorkflowArtifact, MAX_ATTEMPTS};
 pub use tracker::{Outcome, Tracker};

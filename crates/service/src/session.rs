@@ -87,7 +87,10 @@ use ckpt_core::stage::{
     curve_reads_workflow, curve_stage, dp_placement_stage, inject, placement_stage, schedule_stage,
     segment_costs_stage, segment_topology_stage, traced, StageId,
 };
-use ckpt_core::{AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform};
+use ckpt_core::{
+    AllocateConfig, Budget, CostCtx, FailureModel, PlanError, PlanResult, Platform,
+    ScheduleArtifact,
+};
 use failsim::{montecarlo_segments_model_abortable, McStats, SimConfig};
 use mspg::TaskId;
 use pegasus::WorkflowClass;
@@ -95,7 +98,7 @@ use probdag::{Dodin, Evaluator, NormalSculli, PathApprox};
 use seedmix::digest::Fnv1a;
 use seedmix::parallel_slots;
 
-use crate::store::{Memo, PlanArtifact, ScheduleArtifact, Store, WorkflowArtifact};
+use crate::store::{Memo, PlanArtifact, Store, WorkflowArtifact};
 use crate::tracker::{Outcome, Tracker};
 use obs::span::SpanOutcome;
 
@@ -185,10 +188,11 @@ pub fn generate_keyed(
 }
 
 /// The Schedule stage of `wa` on `procs` processors under `alloc`: its
-/// store key and the computation the key names (the schedule and its
-/// failure-free parallel time). The key never reads the failure model,
-/// and reads file sizes only through the MinVolume linearizer. Shared
-/// by [`Session`] and the grid engine, like [`generate_keyed`].
+/// store key and the computation the key names (the schedule, checked
+/// once, and its failure-free parallel time: [`ScheduleArtifact::new`]).
+/// The key never reads the failure model, and reads file sizes only
+/// through the MinVolume linearizer. Shared by [`Session`] and the grid
+/// engine, like [`generate_keyed`].
 pub fn schedule_keyed(
     wa: &WorkflowArtifact,
     procs: usize,
@@ -201,11 +205,7 @@ pub fn schedule_keyed(
     let key = compose(tag::SCHEDULE, &parts);
     let schedule = move || {
         let schedule = schedule_stage(&wa.workflow, procs, &alloc)?;
-        let w_par = schedule.failure_free_parallel_time(&wa.workflow.dag);
-        Ok(ScheduleArtifact {
-            schedule: Arc::new(schedule),
-            w_par,
-        })
+        Ok(ScheduleArtifact::new(schedule, &wa.workflow.dag))
     };
     (key, schedule)
 }
@@ -765,7 +765,7 @@ impl Session {
             sched_key,
             schedule,
         )?;
-        let schedule = &scheduled.schedule;
+        let schedule = scheduled.schedule();
 
         // Curve: model + span statistics (weights, sizes, bandwidth), or
         // nothing for the models that need no curve.
@@ -831,7 +831,7 @@ impl Session {
             let policy = inputs.policy.name();
             let evaluator = inputs.evaluator.build();
             let sg = topology.with_model(&ctx);
-            assessment(policy, &sg, &w.dag, scheduled.w_par, evaluator.as_ref())
+            assessment(policy, &sg, &w.dag, scheduled.w_par(), evaluator.as_ref())
         };
         let eval = self.memo_stage(StageId::EvalAnalytic, &self.store.evals, eval_key, evaluate)?;
 

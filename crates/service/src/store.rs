@@ -77,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ckpt_core::budget::Cancelled;
-use ckpt_core::{Assessment, PlanError, PlanResult, Schedule, StageId};
+use ckpt_core::{Assessment, PlanError, PlanResult, StageId};
 use obs::span::SpanOutcome;
 
 use crate::tracker::Outcome;
@@ -553,8 +553,9 @@ impl<V> Default for Memo<V> {
 pub struct Store {
     /// Generated (and CCR-scaled) workflows with their fingerprints.
     pub workflows: Memo<WorkflowArtifact>,
-    /// Algorithm 1 schedules with their failure-free parallel times.
-    pub schedules: Memo<ScheduleArtifact>,
+    /// Algorithm 1 schedules, checked once, with their failure-free
+    /// parallel times (`ckpt_core::ScheduleArtifact`).
+    pub schedules: Memo<ckpt_core::ScheduleArtifact>,
     /// Renewal restart curves (`None` = memoryless/never-failing).
     pub curves: Memo<Option<ckpt_core::RestartCurve>>,
     /// The exact DP's model-free segment-cost tables
@@ -598,17 +599,6 @@ impl WorkflowArtifact {
             mean_weight,
         }
     }
-}
-
-/// A schedule together with its failure-free parallel time, which reads
-/// only the task weights and the schedule, both covered by the schedule
-/// key (computed once, so a warm answer touches no O(tasks) code).
-pub struct ScheduleArtifact {
-    /// The schedule, shared: the grid engine hands it to every cell's
-    /// `Pipeline`.
-    pub schedule: Arc<Schedule>,
-    /// Failure-free parallel time of the schedule, without storage I/O.
-    pub w_par: f64,
 }
 
 /// A checkpoint plan together with its fingerprint, which keys the

@@ -116,11 +116,6 @@ impl Tracker {
         self.lock().failures.clone()
     }
 
-    /// Number of executions of one stage since the last clear.
-    pub fn executed_count(&self, stage: StageId) -> usize {
-        self.lock().executed[stage as usize]
-    }
-
     /// Forgets all counts (typically called between what-if queries so
     /// each assertion sees exactly one query's stage set).
     pub fn clear(&self) {
@@ -145,7 +140,7 @@ mod tests {
                 .collect()
         );
         assert_eq!(t.cached(), [StageId::Curve].into_iter().collect());
-        assert_eq!(t.executed_count(StageId::Placement), 1);
+        assert_eq!(t.lock().executed[StageId::Placement as usize], 1);
         t.clear();
         assert!(t.executed().is_empty() && t.cached().is_empty() && t.failed().is_empty());
     }
@@ -199,6 +194,6 @@ mod tests {
         .join();
         t.record(StageId::Curve, Outcome::Cached);
         assert_eq!(t.cached(), [StageId::Curve].into_iter().collect());
-        assert_eq!(t.executed_count(StageId::Schedule), 1);
+        assert_eq!(t.lock().executed[StageId::Schedule as usize], 1);
     }
 }

@@ -2,9 +2,7 @@
 //! caching decides *who* computes an artifact, never *what* it is —
 //! and batches must be invariant to the worker thread budget.
 
-use std::sync::Arc;
-
-use ckpt_core::{DpOptimalPolicy, Pipeline, Platform};
+use ckpt_core::{DpOptimalPolicy, Pipeline, Platform, ScheduleArtifact};
 use ckpt_service::{
     Answer, EvalSpec, Inputs, McSpec, ModelSpec, PolicySpec, Session, WhatIf, WorkflowSource,
 };
@@ -176,7 +174,8 @@ fn baseline_answers_equal_the_one_shot_pipeline() {
     // A first-visit λ walk minimizes on the session's stored segment
     // tables; under every model family its answers are the one-shot
     // DP's, which fills its own tables per call.
-    let schedule = Arc::new(ckpt_core::allocate(&w, inputs.procs, &inputs.alloc));
+    let schedule =
+        ScheduleArtifact::new(ckpt_core::allocate(&w, inputs.procs, &inputs.alloc), &w.dag);
     let families = [
         ModelSpec::Exponential { pfail: 1e-3 },
         ModelSpec::Weibull {
@@ -197,7 +196,7 @@ fn baseline_answers_equal_the_one_shot_pipeline() {
             let answer = session.query(&WhatIf::SetPfail(pfail));
             let model = family.with_pfail(pfail).build(w.dag.mean_weight());
             let platform = Platform::with_model(inputs.procs, model, inputs.bandwidth);
-            let pipe = Pipeline::with_schedule(&w, platform, schedule.clone());
+            let pipe = Pipeline::with_schedule(&w, platform, &schedule);
             let a = pipe.assess(&DpOptimalPolicy, &PathApprox::default());
             let expected = Answer {
                 policy: a.policy,

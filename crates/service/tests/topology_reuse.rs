@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ckpt_core::{CheckpointPlan, DpOptimalPolicy, Pipeline, Platform, StageId};
+use ckpt_core::{CheckpointPlan, DpOptimalPolicy, Pipeline, Platform, ScheduleArtifact, StageId};
 use ckpt_service::{
     Answer, Inputs, McSpec, ModelSpec, PolicySpec, Session, Store, WhatIf, WorkflowSource,
 };
@@ -88,11 +88,11 @@ fn a_lambda_walk_reuses_topologies_soundly() {
         let mut w = pegasus::generate(class, SIZE, 9);
         pegasus::ccr::scale_to_ccr(&mut w, CCR, BANDWIDTH);
         let mean = w.dag.mean_weight();
-        let schedule = Arc::new(ckpt_core::allocate(&w, PROCS, &base.alloc));
+        let schedule = ScheduleArtifact::new(ckpt_core::allocate(&w, PROCS, &base.alloc), &w.dag);
         let plan_of = |pfail: f64| {
             let model = ModelSpec::Exponential { pfail }.build(mean);
             let platform = Platform::with_model(PROCS, model, BANDWIDTH);
-            Pipeline::with_schedule(&w, platform, schedule.clone()).plan(&DpOptimalPolicy)
+            Pipeline::with_schedule(&w, platform, &schedule).plan(&DpOptimalPolicy)
         };
 
         let mut plans: HashMap<u64, CheckpointPlan> = HashMap::new();

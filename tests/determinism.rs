@@ -3,6 +3,8 @@
 //! must all be pure functions of their seeds. This is what makes the
 //! figure experiments, the proptest streams, and CI itself reproducible.
 
+mod common;
+
 use ckpt_workflows::prelude::*;
 use pegasus::ccr::scale_to_ccr;
 use rand::rngs::StdRng;
@@ -165,8 +167,8 @@ fn non_memoryless_pipeline_is_bitwise_deterministic() {
 #[test]
 fn figure_cells_are_bitwise_deterministic() {
     // The top of the experiment stack: a full figure cell twice.
-    let a = ckpt_bench::figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 2, 42);
-    let b = ckpt_bench::figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 2, 42);
+    let a = common::figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 2, 42);
+    let b = common::figure_cell(WorkflowClass::Genome, 50, 5, 0.001, 1e-3, 2, 42);
     assert_eq!(a.em_some.to_bits(), b.em_some.to_bits());
     assert_eq!(a.em_all.to_bits(), b.em_all.to_bits());
     assert_eq!(a.em_none.to_bits(), b.em_none.to_bits());
